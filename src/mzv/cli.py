@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import lyndon
 from .harmonic import seq_s, seq_s2
@@ -46,6 +45,7 @@ from .relations import (
     kawashima_relation,
     ohno_relations,
     quadratic_relation,
+    terms_json,
     verify_reversal_telescope,
 )
 
@@ -73,27 +73,6 @@ PRODUCTS = {
     "circ": circ,
     "circbar": circ_bar,
 }
-
-
-@dataclass
-class Config:
-    max_weight: int = 14
-    truncation: int = DEFAULT_TRUNCATION
-    tolerance: float | None = None
-    threads: int = 1
-    output: str = "text"
-
-    @classmethod
-    def from_args(cls, args) -> "Config":
-        cfg = cls(
-            truncation=getattr(args, "truncation", DEFAULT_TRUNCATION),
-            tolerance=getattr(args, "tol", None),
-            threads=args.threads,
-            output=args.output,
-        )
-        if cfg.max_weight > HARD_WEIGHT_CAP:
-            raise SystemExit(2)
-        return cfg
 
 
 def _env_int(name: str, fallback: int) -> int:
@@ -159,15 +138,6 @@ def _emit(payload: dict, text_lines, output: str) -> None:
             print(line)
 
 
-def _terms_json(comb) -> list:
-    from fractions import Fraction
-
-    return [
-        {"index": list(mu), "num": Fraction(c).numerator, "den": Fraction(c).denominator}
-        for mu, c in as_combination(comb).terms()
-    ]
-
-
 def cmd_dual(args) -> int:
     mu = parse_index(args.index)
     result = dual(mu)
@@ -188,7 +158,7 @@ def cmd_apply(args) -> int:
             "op": args.op,
             "input": format_combination(x),
             "result": format_combination(result),
-            "terms": _terms_json(result),
+            "terms": terms_json(result),
         },
         [format_combination(result)],
         args.output,
@@ -207,7 +177,7 @@ def cmd_product(args) -> int:
             "a": format_combination(a),
             "b": format_combination(b),
             "result": format_combination(result),
-            "terms": _terms_json(result),
+            "terms": terms_json(result),
         },
         [format_combination(result)],
         args.output,
@@ -257,7 +227,7 @@ def _suite_identities(args) -> list[dict]:
     from . import products
     from .indices import Combination
 
-    cap = args.weight or 6
+    cap = args.weight
     checks = []
     ok_inv = ok_conj = True
     for w in range(1, cap + 1):
@@ -284,7 +254,7 @@ def _suite_identities(args) -> list[dict]:
 
 
 def _suite_theorem310(args) -> list[dict]:
-    cap = args.weight or 5
+    cap = args.weight
     grid = args.grid
     checks = []
     ok = True
@@ -299,7 +269,7 @@ def _suite_theorem310(args) -> list[dict]:
                         ok = False
     checks.append(_check("difference table matches two-chain sums (weight <= %d)" % cap, ok))
     ok = True
-    for w in range(1, (args.weight or 5) + 2):
+    for w in range(1, cap + 2):
         for mu in all_indices(w):
             horizon = 12
             if seq_s(mu, horizon).nabla() != seq_s(dual(mu), horizon):
@@ -309,7 +279,7 @@ def _suite_theorem310(args) -> list[dict]:
 
 
 def _suite_duality(args) -> list[dict]:
-    cap = args.weight or 7
+    cap = args.weight
     checks = []
     for k in range(2, cap + 1):
         span = RelationMatrix.from_relations(kawashima_basis(k))
@@ -319,7 +289,7 @@ def _suite_duality(args) -> list[dict]:
 
 
 def _suite_ohno(args) -> list[dict]:
-    cap = args.weight or 8
+    cap = args.weight
     checks = []
     for k in range(2, cap + 1):
         span = RelationMatrix.from_relations(kawashima_basis(k))
@@ -339,7 +309,7 @@ def _suite_ohno(args) -> list[dict]:
 
 
 def _suite_numeric(args) -> list[dict]:
-    cap = args.pairs_up_to or 5
+    cap = args.pairs_up_to
     checks = []
     for wa in range(1, cap):
         for wb in range(wa, cap - wa + 1):
@@ -374,8 +344,21 @@ SUITES = {
     "numeric": _suite_numeric,
 }
 
+#: Default and least ``--weight`` of each suite that reads it; below the least
+#: weight some check of the suite would run over nothing and pass vacuously.
+SUITE_WEIGHTS = {"identities": (6, 2), "theorem310": (5, 1), "duality": (7, 2), "ohno": (8, 3)}
+
 
 def cmd_verify(args) -> int:
+    default, least = SUITE_WEIGHTS.get(args.suite, (None, None))
+    if args.weight is None:
+        args.weight = default
+    elif least is not None and args.weight < least:
+        raise ValueError("--weight must be >= %d for the %s suite" % (least, args.suite))
+    if args.grid < 0:
+        raise ValueError("--grid must be >= 0")
+    if args.pairs_up_to < 2:
+        raise ValueError("--pairs-up-to must be >= 2")
     checks = SUITES[args.suite](args)
     overall = all(c["pass"] for c in checks)
     lines = [
@@ -392,7 +375,6 @@ def cmd_verify(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    Config.from_args(args)
     if args.threads < 1:
         print("mzv: --threads must be >= 1", file=sys.stderr)
         return 2

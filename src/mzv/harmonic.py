@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
 
 from .indices import MultiIndex, as_combination, as_index
@@ -136,11 +137,15 @@ def _chain_values(mu: MultiIndex, horizon: int, strict: bool) -> tuple:
     return tuple(level)
 
 
-def _linear_sequence(x, horizon: int, basis) -> RationalSequence:
+def _chain_sequence(x, horizon: int, strict: bool, running: bool) -> RationalSequence:
+    """Chain sums of ``x`` on ``0..horizon``, or their running sums over
+    ``n' < n`` when ``running`` (phi stays the constant 1 either way)."""
     x = as_combination(x)
     totals = [ZERO] * (horizon + 1)
     for mu, c in x.terms():
-        vals = basis(mu, horizon)
+        vals = _chain_values(mu, horizon, strict)
+        if running and mu:
+            vals = tuple(accumulate(vals[:-1], initial=ZERO))
         for i in range(horizon + 1):
             totals[i] += c * vals[i]
     return RationalSequence(totals)
@@ -148,39 +153,22 @@ def _linear_sequence(x, horizon: int, basis) -> RationalSequence:
 
 def seq_s(x, horizon: int) -> RationalSequence:
     """Weak-chain sums on ``0..horizon``, linear in ``x``; 1 for phi."""
-    return _linear_sequence(x, horizon, lambda mu, h: _chain_values(mu, h, False))
+    return _chain_sequence(x, horizon, strict=False, running=False)
 
 
 def seq_a(x, horizon: int) -> RationalSequence:
     """Strict-chain sums on ``0..horizon``, linear in ``x``; 1 for phi."""
-    return _linear_sequence(x, horizon, lambda mu, h: _chain_values(mu, h, True))
-
-
-def _running(vals: tuple) -> tuple:
-    out = [ZERO]
-    for v in vals[:-1]:
-        out.append(out[-1] + v)
-    return tuple(out)
+    return _chain_sequence(x, horizon, strict=True, running=False)
 
 
 def seq_S(x, horizon: int) -> RationalSequence:
     """Running sums ``n -> sum(seq_s(x)(i), i < n)``; constant 1 for phi."""
-    def basis(mu, h):
-        if not mu:
-            return (ONE,) * (h + 1)
-        return _running(_chain_values(mu, h, False))
-
-    return _linear_sequence(x, horizon, basis)
+    return _chain_sequence(x, horizon, strict=False, running=True)
 
 
 def seq_A(x, horizon: int) -> RationalSequence:
     """Running sums ``n -> sum(seq_a(x)(i), i < n)``; constant 1 for phi."""
-    def basis(mu, h):
-        if not mu:
-            return (ONE,) * (h + 1)
-        return _running(_chain_values(mu, h, True))
-
-    return _linear_sequence(x, horizon, basis)
+    return _chain_sequence(x, horizon, strict=True, running=True)
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,24 @@ def _coeff(c) -> Coeff:
     raise TypeError("coefficient must be an int or Fraction, got %r" % (c,))
 
 
+def _accumulate(data: dict, items, scale=1) -> dict:
+    """Add ``scale * c`` into ``data[key]`` for every ``(key, c)`` of ``items``.
+
+    Keys whose sum reaches zero are dropped, so ``data`` stays a sparse
+    vector.  Sums are stored as computed: a ``Fraction`` with denominator 1
+    stays a ``Fraction``, which keeps exact division exact for callers that
+    divide by the stored values.
+    """
+    get = data.get
+    for key, c in items:
+        c = get(key, 0) + scale * c
+        if c:
+            data[key] = c
+        elif key in data:
+            del data[key]
+    return data
+
+
 class Combination:
     """A finitely supported rational linear combination of multi-indices.
 
@@ -173,17 +191,10 @@ class Combination:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        data: dict[MultiIndex, Coeff] = {}
+        self._terms: dict[MultiIndex, Coeff] = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
-            for mu, c in items:
-                mu = as_index(mu)
-                c = data.get(mu, 0) + _coeff(c)
-                if c:
-                    data[mu] = c
-                elif mu in data:
-                    del data[mu]
-        self._terms = data
+            _accumulate(self._terms, ((as_index(mu), _coeff(c)) for mu, c in items))
 
     @classmethod
     def term(cls, mu: IndexLike, coeff: Coeff = 1) -> "Combination":
@@ -229,16 +240,8 @@ class Combination:
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other) -> "Combination":
-        other = as_combination(other)
         out = Combination()
-        data = dict(self._terms)
-        for mu, c in other._terms.items():
-            c = data.get(mu, 0) + c
-            if c:
-                data[mu] = c
-            elif mu in data:
-                del data[mu]
-        out._terms = data
+        out._terms = _accumulate(dict(self._terms), as_combination(other)._terms.items())
         return out
 
     def __sub__(self, other) -> "Combination":
@@ -263,19 +266,9 @@ class Combination:
         for mu, c in self._terms.items():
             image = f(mu)
             if isinstance(image, Combination):
-                for nu, d in image._terms.items():
-                    e = data.get(nu, 0) + c * d
-                    if e:
-                        data[nu] = _coeff(e)
-                    elif nu in data:
-                        del data[nu]
+                _accumulate(data, image._terms.items(), c)
             else:
-                nu = as_index(image)
-                e = data.get(nu, 0) + c
-                if e:
-                    data[nu] = _coeff(e)
-                elif nu in data:
-                    del data[nu]
+                _accumulate(data, ((as_index(image), c),))
         return out
 
     def homogeneous_weight(self) -> int:
@@ -389,15 +382,8 @@ def concat(x, y) -> Combination:
     """Concatenation, extended bilinearly; phi is the unit."""
     x, y = as_combination(x), as_combination(y)
     out = Combination()
-    data = out._terms
     for mu, c in x._terms.items():
-        for nu, d in y._terms.items():
-            key = MultiIndex(mu + nu)
-            e = data.get(key, 0) + c * d
-            if e:
-                data[key] = _coeff(e)
-            elif key in data:
-                del data[key]
+        _accumulate(out._terms, ((MultiIndex(mu + nu), d) for nu, d in y._terms.items()), c)
     return out
 
 
@@ -409,21 +395,17 @@ def merge_concat(x, y) -> Combination:
     """
     x, y = as_combination(x), as_combination(y)
     out = Combination()
-    data = out._terms
     for mu, c in x._terms.items():
-        for nu, d in y._terms.items():
-            if not mu:
-                key = nu
-            elif not nu:
-                key = mu
-            else:
-                key = MultiIndex(mu[:-1] + (mu[-1] + nu[0],) + nu[1:])
-            e = data.get(key, 0) + c * d
-            if e:
-                data[key] = _coeff(e)
-            elif key in data:
-                del data[key]
+        _accumulate(out._terms, ((_fuse(mu, nu), d) for nu, d in y._terms.items()), c)
     return out
+
+
+def _fuse(mu: MultiIndex, nu: MultiIndex) -> MultiIndex:
+    if not mu:
+        return nu
+    if not nu:
+        return mu
+    return MultiIndex(mu[:-1] + (mu[-1] + nu[0],) + nu[1:])
 
 
 def raise_last(x):

@@ -38,8 +38,10 @@ def binary_lyndon_count(n: int) -> int:
     if n < 1:
         raise ValueError("word length must be >= 1")
     total = sum(moebius(n // d) * 2**d for d in range(1, n + 1) if n % d == 0)
-    assert total % n == 0
-    return total // n
+    count, rest = divmod(total, n)
+    if rest:
+        raise ArithmeticError("necklace sum %d is not divisible by %d" % (total, n))
+    return count
 
 
 def psi2(m: int) -> int:

@@ -11,8 +11,9 @@ of these operators multiplies their labels harmonically.
 that are the refinement sum of a single part (``refine((r,))``), both
 operators admit closed block-splitting formulas -- sums over decompositions
 of the argument into consecutive blocks -- which are implemented separately
-(`ohno_ones_blocks`, `ohno_u_blocks`, `ohno_bar_u_blocks`,
-`shifted_block_sum`) and used to cross-check the generic path.
+(`ohno_ones_blocks`, `ohno_u_blocks`, and the weight-split sums
+`ohno_bar_u_blocks`/`shifted_block_sum`, which differ only in the allowed cut
+positions) and used to cross-check the generic path.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .indices import (
     PHI,
     Combination,
     MultiIndex,
+    _accumulate,
     as_combination,
     as_index,
     concat,
@@ -60,10 +62,10 @@ def _ohno_pair(label: MultiIndex, nu: MultiIndex) -> Combination:
 def ohno_apply(label, x) -> Combination:
     """Add the label's parts at increasing positions, all ways; bilinear."""
     label, x = as_combination(label), as_combination(x)
-    out = Combination.zero()
-    for lmu, c in label.terms():
-        for nu, d in x.terms():
-            out = out + (c * d) * _ohno_pair(lmu, nu)
+    out = Combination()
+    for lmu, c in label._terms.items():
+        for nu, d in x._terms.items():
+            _accumulate(out._terms, _ohno_pair(lmu, nu)._terms.items(), c * d)
     return out
 
 
@@ -164,6 +166,25 @@ def _nonboundary_cut_positions(mu: MultiIndex) -> list[int]:
     return [0] + [c for c in range(1, mu.weight) if c not in marks]
 
 
+def _weight_split_sum(r: int, mu, cut_positions) -> Combination:
+    """Sum over ``r`` weight cuts of ``mu``, taken with repeats from
+    ``cut_positions(mu)``, of the blocks joined by plain concatenation after
+    raising the last part of every block but the final one."""
+    mu = as_index(mu)
+    if r < 0:
+        raise ValueError("the shift amount must be >= 0")
+    if not mu:
+        return Combination.zero() if r else Combination.term(PHI)
+
+    def term(cuts) -> MultiIndex:
+        bounds = (0,) + cuts + (mu.weight,)
+        *blocks, last = partition(mu, [b - a for a, b in zip(bounds, bounds[1:])])
+        return MultiIndex(sum(map(raise_last, blocks), ()) + last)
+
+    cuts = itertools.combinations_with_replacement(cut_positions(mu), r)
+    return Combination((term(c), 1) for c in cuts)
+
+
 def ohno_bar_u_blocks(r: int, mu) -> Combination:
     """Dual-side block formula for the label ``refine((r,))``.
 
@@ -171,23 +192,7 @@ def ohno_bar_u_blocks(r: int, mu) -> Combination:
     empty blocks), keep the final block non-empty, raise the last part of
     every other block, and concatenate.
     """
-    mu = as_index(mu)
-    if r < 0:
-        raise ValueError("the shift amount must be >= 0")
-    if not mu:
-        return Combination.zero() if r else Combination.term(PHI)
-    positions = _nonboundary_cut_positions(mu)
-    out = Combination.zero()
-    for cuts in itertools.combinations_with_replacement(positions, r):
-        bounds = (0,) + cuts + (mu.weight,)
-        blocks = partition(mu, [b - a for a, b in zip(bounds, bounds[1:])])
-        term = as_combination(raise_last(blocks[0])) if r else as_combination(blocks[0])
-        for block in blocks[1:-1]:
-            term = concat(term, raise_last(block))
-        if r:
-            term = concat(term, blocks[-1])
-        out = out + term
-    return out
+    return _weight_split_sum(r, mu, _nonboundary_cut_positions)
 
 
 def shifted_block_sum(r: int, mu) -> Combination:
@@ -197,22 +202,7 @@ def shifted_block_sum(r: int, mu) -> Combination:
     (including part boundaries and the very end, so the final block may be
     empty too).
     """
-    mu = as_index(mu)
-    if r < 0:
-        raise ValueError("the shift amount must be >= 0")
-    if not mu:
-        return Combination.zero() if r else Combination.term(PHI)
-    out = Combination.zero()
-    for cuts in itertools.combinations_with_replacement(range(0, mu.weight + 1), r):
-        bounds = (0,) + cuts + (mu.weight,)
-        blocks = partition(mu, [b - a for a, b in zip(bounds, bounds[1:])])
-        term = as_combination(raise_last(blocks[0])) if r else as_combination(blocks[0])
-        for block in blocks[1:-1]:
-            term = concat(term, raise_last(block))
-        if r:
-            term = concat(term, blocks[-1])
-        out = out + term
-    return out
+    return _weight_split_sum(r, mu, lambda mu: range(mu.weight + 1))
 
 
 def conjugated_ones_multiplier(r: int, x) -> Combination:

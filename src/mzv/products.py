@@ -1,25 +1,37 @@
 """The harmonic product of multi-indices and its relatives.
 
 ``stuffle(x, y)`` is the commutative product obtained by interleaving the two
-part lists while optionally adding one part of each side; ``stuffle_bar`` is
-the variant where every term additionally carries the sign
-``(-1)**(len(mu) + len(nu) - len(term))``, so merged parts flip sign.  Both
-are computed by a cached recursion on the last parts; an independent oracle
+part lists while optionally adding one part of each side, computed by a
+cached recursion on the last parts; an independent oracle
 (:func:`enumerate_stuffle`, which lists the two-row interleaving matrices) is
 kept around for cross-checking.
 
+``stuffle_bar`` is not a second product but the length-sign twist of the
+first: ``stuffle_bar(x, y) = signed(stuffle(signed(x), signed(y)))``, so every
+term carries the sign ``(-1)**(len(mu) + len(nu) - len(term))`` and merged
+parts flip sign (Hoffman, "Quasi-shuffle products", 2000).
+
 ``circ``/``circ_bar`` fuse the last parts after multiplying the rest:
 ``circ(mu, nu) = concat(stuffle(mu', nu'), (a+b,))`` where ``a``, ``b`` are
-the last parts and the primes drop them.  These are the products satisfied by
-the single-step tails of the finite harmonic sums, hence their role next to
-the full products of the running sums.
+the last parts and the primes drop them; ``circ_bar`` uses ``stuffle_bar``
+for the head, so it is the sign twist
+``circ_bar(x, y) = -signed(circ(signed(x), signed(y)))``.  These are the
+products satisfied by the single-step tails of the finite harmonic sums,
+hence their role next to the full products of the running sums.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .indices import PHI, Combination, MultiIndex, as_combination, as_index
+from .indices import (
+    Combination,
+    MultiIndex,
+    _accumulate,
+    as_combination,
+    as_index,
+    signed,
+)
 
 
 class StuffleMatrix:
@@ -104,14 +116,8 @@ def _concat_last(comb: Combination, part: int) -> dict:
 
 def _merge_dicts(*dicts) -> Combination:
     out = Combination()
-    data = out._terms
     for d in dicts:
-        for key, c in d.items():
-            e = data.get(key, 0) + c
-            if e:
-                data[key] = e
-            elif key in data:
-                del data[key]
+        _accumulate(out._terms, d.items())
     return out
 
 
@@ -134,35 +140,16 @@ def _stuffle(mu: MultiIndex, nu: MultiIndex) -> Combination:
 
 @lru_cache(maxsize=None)
 def _stuffle_bar(mu: MultiIndex, nu: MultiIndex) -> Combination:
-    if not mu:
-        return Combination.term(nu)
-    if not nu:
-        return Combination.term(mu)
-    if nu < mu:
-        mu, nu = nu, mu
-    a, b = mu[-1], nu[-1]
-    mu0, nu0 = MultiIndex(mu[:-1]), MultiIndex(nu[:-1])
-    merged = _concat_last(_stuffle_bar(mu0, nu0), a + b)
-    return _merge_dicts(
-        _concat_last(_stuffle_bar(mu0, nu), a),
-        _concat_last(_stuffle_bar(mu, nu0), b),
-        {key: -c for key, c in merged.items()},
-    )
+    # signed(stuffle(signed(mu), signed(nu))) for bare indices
+    return (-1) ** (len(mu) + len(nu)) * signed(_stuffle(mu, nu))
 
 
 def _bilinear(pairfn, x, y) -> Combination:
     x, y = as_combination(x), as_combination(y)
     out = Combination()
-    data = out._terms
     for mu, c in x._terms.items():
         for nu, d in y._terms.items():
-            cd = c * d
-            for key, e in pairfn(mu, nu)._terms.items():
-                f = data.get(key, 0) + cd * e
-                if f:
-                    data[key] = f
-                elif key in data:
-                    del data[key]
+            _accumulate(out._terms, pairfn(mu, nu)._terms.items(), c * d)
     return out
 
 
@@ -184,20 +171,16 @@ def stuffle_bar(x, y) -> Combination:
     return _bilinear(_stuffle_bar, x, y)
 
 
-def _circ_pair(mu: MultiIndex, nu: MultiIndex) -> Combination:
-    if not mu or not nu:
-        raise ValueError("circ requires non-empty indices")
-    a, b = mu[-1], nu[-1]
-    head = _stuffle(MultiIndex(mu[:-1]), MultiIndex(nu[:-1]))
-    return Combination(_concat_last(head, a + b))
+def _circ(name: str, head, x, y) -> Combination:
+    """Bilinear 'multiply the heads with ``head``, then fuse the last parts'."""
 
+    def pair(mu: MultiIndex, nu: MultiIndex) -> Combination:
+        if not mu or not nu:
+            raise ValueError("%s requires non-empty indices" % name)
+        heads = head(MultiIndex(mu[:-1]), MultiIndex(nu[:-1]))
+        return Combination(_concat_last(heads, mu[-1] + nu[-1]))
 
-def _circ_bar_pair(mu: MultiIndex, nu: MultiIndex) -> Combination:
-    if not mu or not nu:
-        raise ValueError("circ_bar requires non-empty indices")
-    a, b = mu[-1], nu[-1]
-    head = _stuffle_bar(MultiIndex(mu[:-1]), MultiIndex(nu[:-1]))
-    return Combination(_concat_last(head, a + b))
+    return _bilinear(pair, x, y)
 
 
 def circ(x, y) -> Combination:
@@ -210,12 +193,12 @@ def circ(x, y) -> Combination:
     >>> circ((1,), (1, 1))
     (1,2)
     """
-    return _bilinear(_circ_pair, x, y)
+    return _circ("circ", _stuffle, x, y)
 
 
 def circ_bar(x, y) -> Combination:
     """Signed variant of :func:`circ`, built on :func:`stuffle_bar`."""
-    return _bilinear(_circ_bar_pair, x, y)
+    return _circ("circ_bar", _stuffle_bar, x, y)
 
 
 def mult_by(v):

@@ -21,7 +21,7 @@ from math import gcd
 
 import numpy as np
 
-from .indices import Combination, all_indices, as_combination
+from .indices import Combination, _accumulate, all_indices, as_combination
 
 #: Three fixed 31-bit primes (each exceeds 2**20, as the certificates require).
 MODULAR_PRIMES = (2147483647, 2147483629, 2147483587)
@@ -43,6 +43,9 @@ def _integer_rows(rows):
             content = gcd(content, v)
         out.append({j: v // content for j, v in ints.items()})
     return out
+
+
+_INEXACT = "inexact division in fraction-free elimination"
 
 
 def _bareiss_rank(rows) -> int:
@@ -79,13 +82,15 @@ def _bareiss_rank(rows) -> int:
                     if j == pc:
                         continue
                     q, r = divmod(p * row.get(j, 0) - f * pivot_row.get(j, 0), prev)
-                    assert r == 0, "inexact division in fraction-free elimination"
+                    if r:
+                        raise ArithmeticError(_INEXACT)
                     if q:
                         new[j] = q
             else:
                 for j, v in row.items():
                     q, r = divmod(p * v, prev)
-                    assert r == 0, "inexact division in fraction-free elimination"
+                    if r:
+                        raise ArithmeticError(_INEXACT)
                     new[j] = q
             if new:
                 nxt.append(new)
@@ -171,7 +176,8 @@ class RelationMatrix:
         check = Combination()
         for c, row in zip(coeffs, self.rows):
             if c:
-                check = check + c * row
+                # c * row stores whole coefficients as int, keeping these sums in int arithmetic
+                _accumulate(check._terms, (c * row)._terms.items())
         if check != x:
             raise AssertionError("membership certificate failed re-verification")
         return coeffs
@@ -224,18 +230,7 @@ def _reduce(vec, hist, echelon):
     hist = dict(hist)
     for pc, row, rhist in echelon:
         c = vec.get(pc)
-        if not c:
-            continue
-        for j, v in row.items():
-            w = vec.get(j, 0) - c * v
-            if w:
-                vec[j] = w
-            elif j in vec:
-                del vec[j]
-        for j, v in rhist.items():
-            w = hist.get(j, 0) - c * v
-            if w:
-                hist[j] = w
-            elif j in hist:
-                del hist[j]
+        if c:
+            _accumulate(vec, row.items(), -c)
+            _accumulate(hist, rhist.items(), -c)
     return vec, hist

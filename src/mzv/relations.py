@@ -38,6 +38,14 @@ from .ohno import ohno_u
 from .products import circ, stuffle
 
 
+def terms_json(x) -> list[dict]:
+    """The terms of a combination as JSON objects ``{index, num, den}``, sorted."""
+    return [
+        {"index": list(mu), "num": Fraction(c).numerator, "den": Fraction(c).denominator}
+        for mu, c in as_combination(x).terms()
+    ]
+
+
 @dataclass(frozen=True)
 class LinearRelation:
     """A combination annihilated by the raised zeta functional."""
@@ -50,14 +58,7 @@ class LinearRelation:
         return {
             "weight": self.weight,
             "provenance": self.provenance,
-            "terms": [
-                {
-                    "index": list(mu),
-                    "num": Fraction(c).numerator,
-                    "den": Fraction(c).denominator,
-                }
-                for mu, c in self.element.terms()
-            ],
+            "terms": terms_json(self.element),
         }
 
     @staticmethod

@@ -199,6 +199,34 @@ def test_weight_cap(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "duality", "--weight", "1"], "--weight"),
+        (["verify", "ohno", "--weight", "-3"], "--weight"),
+        (["verify", "ohno", "--weight", "2"], "--weight"),
+        (["verify", "identities", "--weight", "0"], "--weight"),
+        (["verify", "theorem310", "--weight", "0"], "--weight"),
+        (["verify", "theorem310", "--grid", "-1"], "--grid"),
+        (["verify", "numeric", "--pairs-up-to", "0"], "--pairs-up-to"),
+        (["verify", "numeric", "--pairs-up-to", "1"], "--pairs-up-to"),
+    ],
+)
+def test_vacuous_verify_options_are_usage_errors(argv, flag, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("mzv: ") and flag in err
+
+
+def test_verify_least_weights_run_checks(capsys):
+    for suite, weight in [("duality", 2), ("ohno", 3), ("identities", 2), ("theorem310", 1)]:
+        code, out, _ = run(["verify", suite, "--weight", str(weight), "--grid", "0"], capsys)
+        assert code == 0
+        assert out.endswith("all passed\n")
+        assert not out.startswith("0 checks")
+
+
 def test_threads_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("MZV_THREADS", "3")
     args = cli.build_parser().parse_args(["dual", "(2)"])

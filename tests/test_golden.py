@@ -1,0 +1,32 @@
+"""The command line's bytes against outputs recorded before a refactor.
+
+``golden/cli.json`` lists argument vectors with the exit code, stdout and
+stderr that ``mzv.cli.main`` produced for them before the package's
+duplicated code paths were folded together; refactors must keep them.  The
+cases cover every ``apply`` operator and ``product`` kind on inputs with
+fractional coefficients and phi (text and JSON), ``rank-table --k-max 7``,
+the exact ``verify`` suites at small weights, and ``verify numeric`` as text
+only (its JSON carries floats).
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from mzv import cli
+
+CASES = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text())
+
+
+@pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) for c in CASES])
+def test_cli_output_is_byte_identical(case, capsys):
+    code = cli.main(case["argv"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (case["exit"], case["stdout"], case["stderr"])
+
+
+def test_cases_cover_every_operator_and_product():
+    seen = {(c["argv"][0], c["argv"][1]) for c in CASES}
+    assert {("apply", op) for op in cli.OPS} <= seen
+    assert {("product", kind) for kind in cli.PRODUCTS} <= seen

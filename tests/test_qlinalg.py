@@ -4,7 +4,7 @@ import pytest
 
 from mzv.indices import Combination, all_indices, idx, parse_combination
 from mzv.qlinalg import MODULAR_PRIMES, RelationMatrix
-from mzv.relations import duality_relation, kawashima_basis
+from mzv.relations import duality_element, duality_relation, kawashima_basis
 
 
 def comb(s):
@@ -64,6 +64,17 @@ def test_member_certificate_with_redundant_rows():
     for c, row in zip(cert, m.rows):
         total = total + c * row
     assert total == x
+
+
+def test_duality_certificates_are_exact_fractions():
+    # an int pivot would turn the echelon's 1 / pivot into a float division;
+    # the re-verified certificate still compares equal, so only the type shows it
+    for k in range(3, 8):
+        m = RelationMatrix.from_relations(kawashima_basis(k))
+        for mu in all_indices(k):
+            cert = m.member(duality_element(mu))
+            assert cert is not None
+            assert all(type(c) is Fraction for c in cert)
 
 
 def test_from_relations():

@@ -45,6 +45,7 @@ from .relations import (
     kawashima_relation,
     ohno_relations,
     quadratic_relation,
+    stuffle_rows,
     terms_json,
     verify_reversal_telescope,
 )
@@ -192,7 +193,9 @@ def cmd_rank_table(args) -> int:
     rows = []
     for k in range(args.k_min, args.k_max + 1):
         exact = k <= args.exact_up_to
-        span = RelationMatrix.from_relations(kawashima_basis(k))
+        # g = refine . signed is a bijection, so the raw stuffle rows have the
+        # rank of the Kawashima rows
+        span = RelationMatrix(k, stuffle_rows(k))
         shift_span = RelationMatrix.from_relations(ohno_relations(k))
         rank = span.rank() if exact else span.modular_rank()
         shift_rank = shift_span.rank() if exact else shift_span.modular_rank()
@@ -328,10 +331,10 @@ def _suite_numeric(args) -> list[dict]:
                     )
     # zeta((3)) = zeta((1,2)): the raised form of (2) - (1,1)
     euler = as_combination((2,)) - as_combination((1, 1))
-    rep = verify_linear(euler, N=args.truncation, tol=args.tol if args.tol else 1e-6)
+    rep = verify_linear(euler, N=args.truncation, tol=1e-6 if args.tol is None else args.tol)
     checks.append(_check("euler:(3)=(1,2)", rep["pass"], {"value": rep["value"], "err": rep["err"]}))
     quad = quadratic_relation((1,), (1,), 2)
-    rep = verify_quadratic(quad, N=args.truncation, tol=args.tol if args.tol else 1e-4)
+    rep = verify_quadratic(quad, N=args.truncation, tol=1e-4 if args.tol is None else args.tol)
     checks.append(_check(quad.provenance, rep["pass"], {"value": rep["value"], "err": rep["err"]}))
     return checks
 
@@ -381,9 +384,11 @@ def main(argv=None) -> int:
     if getattr(args, "truncation", DEFAULT_TRUNCATION) < 10**3:
         print("mzv: --truncation must be >= 1000", file=sys.stderr)
         return 2
-    if getattr(args, "weight", None) is not None and args.weight > HARD_WEIGHT_CAP:
-        print("mzv: --weight exceeds the hard cap %d" % HARD_WEIGHT_CAP, file=sys.stderr)
-        return 2
+    for flag in ("weight", "pairs_up_to"):
+        if (getattr(args, flag, None) or 0) > HARD_WEIGHT_CAP:
+            print("mzv: --%s exceeds the hard cap %d" % (flag.replace("_", "-"), HARD_WEIGHT_CAP),
+                  file=sys.stderr)
+            return 2
     handlers = {
         "dual": cmd_dual,
         "apply": cmd_apply,

@@ -3,10 +3,14 @@
 The central family: for non-empty indices ``mu``, ``nu`` the combination
 ``refine(signed(stuffle(mu, nu)))`` annihilates the raised zeta functional.
 :func:`kawashima_basis` collects one such row per unordered pair of a fixed
-total weight.  Reversal--dual differences (:func:`duality_relation`) and
-their images under the shift operators (:func:`ohno_relations`) land inside
-the same span; the membership certificates produced in the tests make that
-containment concrete.
+total weight.  Since ``g = refine . signed`` is an involution of each weight
+space, hence a linear bijection, the raw products :func:`stuffle_rows` span
+a space of the same dimension; ``mzv rank-table`` ranks those sparser rows.
+
+Reversal--dual differences (:func:`duality_relation`) and their images under
+the shift operators (:func:`ohno_relations`) land inside the span of
+:func:`kawashima_basis`; the membership certificates produced in the tests
+make that containment concrete.
 
 Quadratic counterparts pair two raised evaluations against one: see
 :func:`quadratic_relation`, whose terms come from fusing with all-ones tails,
@@ -108,19 +112,34 @@ def kawashima_relation(mu, nu) -> LinearRelation:
     return LinearRelation(element, tag, mu.weight + nu.weight)
 
 
-def kawashima_basis(weight: int) -> list[LinearRelation]:
-    """One relation per unordered pair of non-empty indices of total ``weight``."""
+def _pairs(weight: int):
+    """Unordered pairs ``(mu, nu)`` of non-empty indices of total ``weight``.
+
+    Ordered by the weight of ``mu`` (at most half), then by parts.
+    """
     if weight < 2:
         raise ValueError("weight must be >= 2")
-    out = []
     for a in range(1, weight // 2 + 1):
         b = weight - a
         for mu in all_indices(a):
             for nu in all_indices(b):
                 if a == b and nu < mu:
                     continue
-                out.append(kawashima_relation(mu, nu))
-    return out
+                yield mu, nu
+
+
+def kawashima_basis(weight: int) -> list[LinearRelation]:
+    """One relation per unordered pair of non-empty indices of total ``weight``."""
+    return [kawashima_relation(mu, nu) for mu, nu in _pairs(weight)]
+
+
+def stuffle_rows(weight: int) -> list[Combination]:
+    """``stuffle(mu, nu)`` for the pairs of :func:`kawashima_basis`, in its order.
+
+    Row ``i`` is mapped to the element of relation ``i`` by the involution
+    ``g = refine . signed``, so both lists span spaces of the same dimension.
+    """
+    return [stuffle(mu, nu) for mu, nu in _pairs(weight)]
 
 
 def duality_element(mu) -> Combination:

@@ -199,6 +199,34 @@ def test_weight_cap(capsys):
     assert "cap" in err
 
 
+def test_pairs_up_to_cap(capsys, monkeypatch):
+    def no_pairs(*args, **kwargs):
+        raise AssertionError("a pair was built")
+
+    monkeypatch.setattr(cli, "kawashima_relation", no_pairs)
+    code, out, err = run(
+        ["verify", "numeric", "--pairs-up-to", "30", "--truncation", "1000"], capsys
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("mzv: ") and "--pairs-up-to" in err and "cap" in err
+
+
+def test_verify_numeric_zero_tolerance_is_used(capsys, monkeypatch):
+    seen = []
+
+    def spy(fn):
+        def wrapped(relation, N, tol):
+            seen.append(tol)
+            return fn(relation, N, tol)
+
+        return wrapped
+
+    monkeypatch.setattr(cli, "verify_linear", spy(cli.verify_linear))
+    monkeypatch.setattr(cli, "verify_quadratic", spy(cli.verify_quadratic))
+    run(["verify", "numeric", "--pairs-up-to", "2", "--truncation", "1000", "--tol", "0"], capsys)
+    assert seen and seen == [0.0] * len(seen)
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [

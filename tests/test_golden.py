@@ -6,7 +6,10 @@ duplicated code paths were folded together; refactors must keep them.  The
 cases cover every ``apply`` operator and ``product`` kind on inputs with
 fractional coefficients and phi (text and JSON), ``rank-table --k-max 7``,
 the exact ``verify`` suites at small weights, and ``verify numeric`` as text
-only (its JSON carries floats).
+only (its JSON carries floats).  The last two cases, ``rank-table --k-min 8
+--k-max 9 --exact-up-to 8`` as text and JSON, were recorded while the table
+still ranked the Kawashima rows; they pin both rank modes (exact at weight 8,
+modular at weight 9) across the move to the raw stuffle rows.
 """
 
 import json

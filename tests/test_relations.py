@@ -28,6 +28,7 @@ from mzv.relations import (
     newton_series_coefficients,
     ohno_relations,
     quadratic_relation,
+    stuffle_rows,
     verify_reversal_telescope,
 )
 
@@ -69,6 +70,23 @@ def test_kawashima_basis_has_no_swapped_duplicates():
         tags = [r.provenance for r in kawashima_basis(k)]
         assert len(tags) == len(set(tags))
         assert "kawashima((1),(%d))" % (k - 1) in tags
+
+
+def test_stuffle_rows_are_the_unrefined_kawashima_rows():
+    # the fast rank-table path against the Kawashima rows it replaces:
+    # row by row (k <= 7), exact rank (k <= 8) and modular rank (k = 9)
+    for k in range(2, 10):
+        rows = stuffle_rows(k)
+        basis = kawashima_basis(k)
+        assert len(rows) == len(basis)
+        if k <= 7:
+            assert [refine(signed(row)) for row in rows] == [rel.element for rel in basis]
+        fast = RelationMatrix(k, rows)
+        slow = RelationMatrix.from_relations(basis)
+        if k <= 8:
+            assert fast.rank() == slow.rank()
+        else:
+            assert fast.modular_rank() == slow.modular_rank() == 200
 
 
 def test_duality_element():

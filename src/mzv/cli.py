@@ -41,6 +41,7 @@ from .products import circ, circ_bar, stuffle, stuffle_bar
 from .qlinalg import RelationMatrix
 from .relations import (
     duality_relation,
+    index_pairs,
     kawashima_basis,
     kawashima_relation,
     ohno_relations,
@@ -316,19 +317,16 @@ def _suite_numeric(args) -> list[dict]:
     checks = []
     for wa in range(1, cap):
         for wb in range(wa, cap - wa + 1):
-            for mu in all_indices(wa):
-                for nu in all_indices(wb):
-                    if wa == wb and nu < mu:
-                        continue
-                    rel = kawashima_relation(mu, nu)
-                    rep = verify_linear(rel, N=args.truncation, tol=args.tol)
-                    checks.append(
-                        _check(
-                            rel.provenance,
-                            rep["pass"],
-                            {"value": rep["value"], "err": rep["err"], "N": rep["N"]},
-                        )
+            for mu, nu in index_pairs(wa, wb):
+                rel = kawashima_relation(mu, nu)
+                rep = verify_linear(rel, N=args.truncation, tol=args.tol)
+                checks.append(
+                    _check(
+                        rel.provenance,
+                        rep["pass"],
+                        {"value": rep["value"], "err": rep["err"], "N": rep["N"]},
                     )
+                )
     # zeta((3)) = zeta((1,2)): the raised form of (2) - (1,1)
     euler = as_combination((2,)) - as_combination((1, 1))
     rep = verify_linear(euler, N=args.truncation, tol=1e-6 if args.tol is None else args.tol)

@@ -1,12 +1,14 @@
 """Exact rational linear algebra for spans of homogeneous combinations.
 
 A :class:`RelationMatrix` stores a list of weight-``k`` combinations as rows
-over the column basis of all weight-``k`` indices (sorted by parts).  Ranks
-are computed fraction-free (Bareiss elimination on integer-cleared rows, with
-a sparsity-guided pivot choice); membership queries run over ``Fraction``
-against a cached row echelon form that carries combination history, so every
-positive answer comes with coefficients that are re-checked by
-multiplication before being returned.
+over the column basis of all weight-``k`` indices (sorted by parts).  One
+exact elimination over ``Fraction`` serves both questions: the rows are
+reduced in input order, each against the echelon rows before it, with the
+smallest remaining column as pivot.  The rank is the number of echelon rows.
+An echelon row remembers its source row and the multiples of earlier echelon
+rows subtracted from it, so a membership query reduces ``x`` and rebuilds
+coefficients over the source rows by back-substitution; every positive
+answer is re-checked by multiplication before being returned.
 
 ``modular_rank`` is the fast certified-lower-bound path: eliminate modulo a
 few fixed 31-bit primes with vectorised integer arithmetic (all intermediate
@@ -17,7 +19,6 @@ exceed the rational rank, so the maximum over primes is a true lower bound.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 import numpy as np
 
@@ -25,78 +26,6 @@ from .indices import Combination, _accumulate, all_indices, as_combination
 
 #: Three fixed 31-bit primes (each exceeds 2**20, as the certificates require).
 MODULAR_PRIMES = (2147483647, 2147483629, 2147483587)
-
-
-def _integer_rows(rows):
-    """Clear denominators and content from each row; returns dicts col -> int."""
-    out = []
-    for row in rows:
-        if not row:
-            continue
-        denom = 1
-        for c in row.values():
-            if isinstance(c, Fraction):
-                denom = denom * c.denominator // gcd(denom, c.denominator)
-        ints = {j: int(c * denom) for j, c in row.items()}
-        content = 0
-        for v in ints.values():
-            content = gcd(content, v)
-        out.append({j: v // content for j, v in ints.items()})
-    return out
-
-
-_INEXACT = "inexact division in fraction-free elimination"
-
-
-def _bareiss_rank(rows) -> int:
-    """Fraction-free elimination; `rows` is a list of dicts col -> int."""
-    active = _integer_rows(rows)
-    rank = 0
-    prev = 1
-    while active:
-        counts: dict[int, int] = {}
-        for row in active:
-            for j in row:
-                counts[j] = counts.get(j, 0) + 1
-        if not counts:
-            break
-        # Markowitz-style pivot: fewest fill candidates, then smallest column.
-        best = None
-        for i, row in enumerate(active):
-            r = len(row) - 1
-            for j in row:
-                score = r * (counts[j] - 1)
-                key = (score, j, i)
-                if best is None or key < best:
-                    best = key
-        _, pc, pi = best
-        pivot_row = active.pop(pi)
-        p = pivot_row[pc]
-        rank += 1
-        nxt = []
-        for row in active:
-            f = row.pop(pc, 0)
-            new = {}
-            if f:
-                for j in set(row) | set(pivot_row):
-                    if j == pc:
-                        continue
-                    q, r = divmod(p * row.get(j, 0) - f * pivot_row.get(j, 0), prev)
-                    if r:
-                        raise ArithmeticError(_INEXACT)
-                    if q:
-                        new[j] = q
-            else:
-                for j, v in row.items():
-                    q, r = divmod(p * v, prev)
-                    if r:
-                        raise ArithmeticError(_INEXACT)
-                    new[j] = q
-            if new:
-                nxt.append(new)
-        active = nxt
-        prev = p
-    return rank
 
 
 class RelationMatrix:
@@ -114,7 +43,6 @@ class RelationMatrix:
                 raise ValueError("row has the wrong weight for this matrix")
             self.rows.append(row)
             self._sparse.append({self._colpos[mu]: c for mu, c in row._terms.items()})
-        self._rank = None
         self._echelon = None
 
     @classmethod
@@ -133,46 +61,49 @@ class RelationMatrix:
         return len(self.columns)
 
     def rank(self) -> int:
-        if self._rank is None:
-            self._rank = _bareiss_rank(self._sparse)
-        return self._rank
+        return len(self._echelon_form())
 
-    # -- membership ---------------------------------------------------------
+    # -- elimination and membership ------------------------------------------
 
     def _echelon_form(self):
-        """Echelon rows as (pivot col, row dict, history dict), over Fraction."""
+        """Echelon rows as (pivot col, row dict with pivot 1, source row,
+        multiples of earlier echelon rows subtracted, 1 / pivot)."""
         if self._echelon is None:
             ech = []
             for i, row in enumerate(self._sparse):
-                vec = {j: Fraction(c) for j, c in row.items()}
-                hist = {i: Fraction(1)}
-                vec, hist = _reduce(vec, hist, ech)
+                vec, multiples = _reduce(row, ech)
                 if vec:
                     pc = min(vec)
                     inv = 1 / vec[pc]
-                    vec = {j: c * inv for j, c in vec.items()}
-                    hist = {j: c * inv for j, c in hist.items()}
-                    ech.append((pc, vec, hist))
+                    ech.append((pc, {j: c * inv for j, c in vec.items()}, i, multiples, inv))
             self._echelon = ech
         return self._echelon
 
     def member(self, x) -> list[Fraction] | None:
         """Coefficients writing ``x`` as a combination of the rows, or None.
 
-        A returned certificate ``coeffs`` always satisfies
+        ``None`` also answers an ``x`` with a term of another weight.  A
+        returned certificate ``coeffs`` always satisfies
         ``sum(c * row for c, row in zip(coeffs, rows)) == x``; this is
         re-verified before returning.
         """
         x = as_combination(x)
-        if x and x.homogeneous_weight() != self.weight:
+        if any(mu not in self._colpos for mu in x._terms):
             return None
-        vec = {self._colpos[mu]: Fraction(c) for mu, c in x._terms.items()}
-        vec, hist = _reduce(vec, {}, self._echelon_form())
+        echelon = self._echelon_form()
+        vec, multiples = _reduce({self._colpos[mu]: c for mu, c in x._terms.items()}, echelon)
         if vec:
             return None
-        # _reduce subtracts echelon rows, so the history carries the negative
-        # of the sought combination
-        coeffs = [-hist.get(i, Fraction(0)) for i in range(self.nrows)]
+        # x is the sum of multiples[t] * echelon row t, and echelon row t is
+        # 1 / pivot times its source row minus its own multiples of earlier
+        # echelon rows: unfold from the last echelon row down
+        coeffs = [Fraction(0)] * self.nrows
+        for t in range(len(echelon) - 1, -1, -1):
+            c = multiples.pop(t, 0)
+            if c:
+                _, _, source, earlier, inv = echelon[t]
+                coeffs[source] = c = c * inv
+                _accumulate(multiples, earlier.items(), -c)
         check = Combination()
         for c, row in zip(coeffs, self.rows):
             if c:
@@ -224,13 +155,17 @@ class RelationMatrix:
         return rank
 
 
-def _reduce(vec, hist, echelon):
-    """Reduce ``vec`` (and its history) against echelon rows; returns copies."""
-    vec = dict(vec)
-    hist = dict(hist)
-    for pc, row, rhist in echelon:
+def _reduce(vec, echelon):
+    """Reduce a copy of ``vec`` over ``Fraction`` against the echelon rows.
+
+    Returns the remainder and the multiples ``{echelon position: c}`` of the
+    echelon rows subtracted from it.
+    """
+    vec = {j: Fraction(c) for j, c in vec.items()}
+    multiples = {}
+    for t, (pc, row, _, _, _) in enumerate(echelon):
         c = vec.get(pc)
         if c:
             _accumulate(vec, row.items(), -c)
-            _accumulate(hist, rhist.items(), -c)
-    return vec, hist
+            multiples[t] = c
+    return vec, multiples

@@ -112,6 +112,19 @@ def kawashima_relation(mu, nu) -> LinearRelation:
     return LinearRelation(element, tag, mu.weight + nu.weight)
 
 
+def index_pairs(a: int, b: int):
+    """Pairs ``(mu, nu)`` with ``mu`` of weight ``a`` and ``nu`` of weight ``b``.
+
+    Ordered by parts; when ``a == b`` only ``mu <= nu`` is kept, so each
+    unordered pair comes once.
+    """
+    for mu in all_indices(a):
+        for nu in all_indices(b):
+            if a == b and nu < mu:
+                continue
+            yield mu, nu
+
+
 def _pairs(weight: int):
     """Unordered pairs ``(mu, nu)`` of non-empty indices of total ``weight``.
 
@@ -120,12 +133,7 @@ def _pairs(weight: int):
     if weight < 2:
         raise ValueError("weight must be >= 2")
     for a in range(1, weight // 2 + 1):
-        b = weight - a
-        for mu in all_indices(a):
-            for nu in all_indices(b):
-                if a == b and nu < mu:
-                    continue
-                yield mu, nu
+        yield from index_pairs(a, weight - a)
 
 
 def kawashima_basis(weight: int) -> list[LinearRelation]:

@@ -1,10 +1,13 @@
+import json
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from mzv.indices import Combination, all_indices, idx, parse_combination
 from mzv.qlinalg import MODULAR_PRIMES, RelationMatrix
-from mzv.relations import duality_element, duality_relation, kawashima_basis
+from mzv.relations import duality_element, duality_relation, kawashima_basis, ohno_relations
 
 
 def comb(s):
@@ -52,6 +55,12 @@ def test_member_finds_certificates():
     assert m.member(comb("(1,2)")) is None
     assert m.member(comb("(2)")) is None  # wrong weight
     assert m.member(Combination.zero()) == [0, 0]
+
+
+def test_member_of_a_mixed_weight_combination_is_none():
+    m = RelationMatrix(3, [comb("(3)"), comb("(1,2)")])
+    assert m.member(comb("(3) + (2)")) is None
+    assert m.member(comb("(1,2) - (1,1,1,1)")) is None
 
 
 def test_member_certificate_with_redundant_rows():
@@ -107,3 +116,70 @@ def test_rank_survives_scaling_and_duplication():
     scaled = [Fraction(7, 3) * r for r in base] + list(base)
     m2 = RelationMatrix(5, scaled)
     assert m1.rank() == m2.rank() == 10
+
+
+def _combination(columns, vector):
+    return Combination((mu, c) for mu, c in zip(columns, vector) if c)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_known_rank_products_and_their_certificates(seed):
+    # A = B @ C with an r x r identity inside B's rows and inside C's columns
+    # has rank exactly r over Q and modulo every prime, whatever elimination
+    # computes it; its row space is C's, which misses e_j off C's identity.
+    rng = random.Random(seed)
+    weight = rng.choice((5, 6, 7))  # 16, 32 or 64 columns
+    columns = all_indices(weight)
+    m, r = len(columns), rng.randint(1, 12)
+    n = r + rng.randint(0, 10)
+    pivots = rng.sample(range(m), r)
+    C = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(r)]
+    for a, j in enumerate(pivots):
+        for b in range(r):
+            C[b][j] = int(a == b)
+    B = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(n)]
+    for a, i in enumerate(rng.sample(range(n), r)):
+        B[i] = [int(a == b) for b in range(r)]
+    rows = [
+        _combination(columns, [sum(B[i][t] * C[t][j] for t in range(r)) for j in range(m)])
+        for i in range(n)
+    ]
+    rows += [Fraction(rng.randint(1, 9), rng.randint(2, 9)) * rng.choice(rows) for _ in range(3)]
+    rows += [rng.choice(rows) for _ in range(3)]
+    rng.shuffle(rows)
+    matrix = RelationMatrix(weight, rows)
+    assert matrix.rank() == r == matrix.modular_rank()
+
+    coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 5)) for _ in rows]
+    x = Combination.zero()
+    for c, row in zip(coeffs, rows):
+        x = x + c * row
+    cert = matrix.member(x)
+    assert cert is not None and all(type(c) is Fraction for c in cert)
+    total = Combination.zero()
+    for c, row in zip(cert, rows):
+        total = total + c * row
+    assert total == x
+
+    if r < m:
+        j = rng.choice([j for j in range(m) if j not in pivots])
+        outside = Combination.term(columns[j]) + x
+        assert matrix.member(outside) is None
+        assert RelationMatrix(weight, rows + [outside]).rank() == r + 1
+
+
+def test_certificates_match_the_recorded_ones():
+    # golden/certificates.json holds the non-zero member() coefficients, as
+    # strings, of every duality and Ohno (r <= 3) element against the
+    # Kawashima rows of weight 2..6, recorded before the echelon was changed
+    recorded = json.loads((Path(__file__).parent / "golden" / "certificates.json").read_text())
+    got = []
+    for k in range(2, 7):
+        m = RelationMatrix.from_relations(kawashima_basis(k))
+        targets = [duality_relation(mu) for mu in all_indices(k)] + ohno_relations(k, r_max=3)
+        for rel in targets:
+            cert = m.member(rel.element)
+            assert all(type(c) is Fraction for c in cert), rel.provenance
+            coefficients = {str(i): str(c) for i, c in enumerate(cert) if c}
+            got.append({"weight": k, "target": rel.provenance, "coefficients": coefficients})
+    assert got == recorded

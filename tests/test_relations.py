@@ -22,6 +22,7 @@ from mzv.relations import (
     QuadraticRelation,
     duality_element,
     duality_relation,
+    index_pairs,
     kawashima_basis,
     kawashima_element,
     kawashima_relation,
@@ -70,6 +71,16 @@ def test_kawashima_basis_has_no_swapped_duplicates():
         tags = [r.provenance for r in kawashima_basis(k)]
         assert len(tags) == len(set(tags))
         assert "kawashima((1),(%d))" % (k - 1) in tags
+
+
+def test_index_pairs_split_the_unordered_pairs_by_weight():
+    assert list(index_pairs(1, 2)) == [(idx(1), idx(1, 1)), (idx(1), idx(2))]
+    assert list(index_pairs(2, 2)) == [
+        (idx(1, 1), idx(1, 1)), (idx(1, 1), idx(2)), (idx(2), idx(2))
+    ]
+    for k in range(2, 8):
+        chained = [p for a in range(1, k // 2 + 1) for p in index_pairs(a, k - a)]
+        assert [kawashima_relation(mu, nu) for mu, nu in chained] == kawashima_basis(k)
 
 
 def test_stuffle_rows_are_the_unrefined_kawashima_rows():

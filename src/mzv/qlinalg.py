@@ -1,24 +1,38 @@
 """Exact rational linear algebra for spans of homogeneous combinations.
 
 A :class:`RelationMatrix` stores a list of weight-``k`` combinations as rows
-over the column basis of all weight-``k`` indices (sorted by parts).  One
-exact elimination over ``Fraction`` serves both questions: the rows are
-reduced in input order, each against the echelon rows before it, with the
-smallest remaining column as pivot.  The rank is the number of echelon rows.
-An echelon row remembers its source row and the multiples of earlier echelon
-rows subtracted from it, so a membership query reduces ``x`` and rebuilds
-coefficients over the source rows by back-substitution; every positive
-answer is re-checked by multiplication before being returned.
+over the column basis of all weight-``k`` indices (sorted by parts).  Each row
+is kept once as a sparse integer row ``den * row`` with ``den`` the lcm of its
+denominators, and both eliminations below read only that form.
 
-``modular_rank`` is the fast certified-lower-bound path: eliminate modulo a
-few fixed 31-bit primes with vectorised integer arithmetic (all intermediate
-products stay below 2**62) and return the best rank seen.  Ranks mod p never
-exceed the rational rank, so the maximum over primes is a true lower bound.
+One fraction-free elimination over the integers serves both exact questions:
+the rows are reduced in input order, each against the echelon rows before it,
+with the smallest remaining column as pivot.  The rank is the number of
+echelon rows.  Echelon row ``t`` keeps its reduced integer row ``r_t``, its
+source row, the integer multiples ``M_t`` of earlier echelon rows subtracted
+from it and a positive scale ``D_t``, with the invariant
+
+    D_t * den * source = r_t + sum(M_t[s] * r_s)
+
+and the common content of ``r_t``, ``M_t`` and ``D_t`` divided out.  A
+membership query reduces ``den_x * x`` the same way and rebuilds integer
+coefficients over the source rows by back-substitution; every positive answer
+is re-checked by multiplication before being returned.
+
+``modular_rank`` is the fast certified-lower-bound path: eliminate the integer
+rows modulo a few fixed 31-bit primes with vectorised integer arithmetic (all
+intermediate products stay below 2**62) and return the best rank seen.  Every
+row at or below the pivot row is zero left of the pivot column, so each step
+updates only the rows that are non-zero in the pivot column, and only in the
+columns from the pivot rightwards where the pivot row is non-zero.  An integer
+matrix's rank mod p never exceeds its rank over Q, so the maximum over primes
+is a true lower bound.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
@@ -36,13 +50,13 @@ class RelationMatrix:
         self.columns = all_indices(self.weight)
         self._colpos = {mu: j for j, mu in enumerate(self.columns)}
         self.rows: list[Combination] = []
-        self._sparse: list[dict] = []
+        self._integer: list[tuple[dict, int]] = []
         for row in rows:
             row = as_combination(row)
             if row and row.homogeneous_weight() != self.weight:
                 raise ValueError("row has the wrong weight for this matrix")
             self.rows.append(row)
-            self._sparse.append({self._colpos[mu]: c for mu, c in row._terms.items()})
+            self._integer.append(self._integer_row(row))
         self._echelon = None
 
     @classmethod
@@ -63,19 +77,24 @@ class RelationMatrix:
     def rank(self) -> int:
         return len(self._echelon_form())
 
+    def _integer_row(self, x: Combination) -> tuple[dict, int]:
+        """``den * x`` as an integer dict over column positions, and ``den``."""
+        den = lcm(*(c.denominator for c in x._terms.values()))
+        return {
+            self._colpos[mu]: c.numerator * (den // c.denominator) for mu, c in x._terms.items()
+        }, den
+
     # -- elimination and membership ------------------------------------------
 
     def _echelon_form(self):
-        """Echelon rows as (pivot col, row dict with pivot 1, source row,
-        multiples of earlier echelon rows subtracted, 1 / pivot)."""
+        """Echelon rows as (pivot col, reduced integer row r, source row,
+        integer multiples M of earlier echelon rows, D * den)."""
         if self._echelon is None:
             ech = []
-            for i, row in enumerate(self._sparse):
-                vec, multiples = _reduce(row, ech)
+            for i, (row, den) in enumerate(self._integer):
+                vec, multiples, scale = _reduce(row, ech)
                 if vec:
-                    pc = min(vec)
-                    inv = 1 / vec[pc]
-                    ech.append((pc, {j: c * inv for j, c in vec.items()}, i, multiples, inv))
+                    ech.append((min(vec), vec, i, multiples, scale * den))
             self._echelon = ech
         return self._echelon
 
@@ -91,18 +110,20 @@ class RelationMatrix:
         if any(mu not in self._colpos for mu in x._terms):
             return None
         echelon = self._echelon_form()
-        vec, multiples = _reduce({self._colpos[mu]: c for mu, c in x._terms.items()}, echelon)
+        vec, den = self._integer_row(x)
+        vec, multiples, scale = _reduce(vec, echelon)
         if vec:
             return None
-        # x is the sum of multiples[t] * echelon row t, and echelon row t is
-        # 1 / pivot times its source row minus its own multiples of earlier
-        # echelon rows: unfold from the last echelon row down
+        # total * x is the sum of multiples[t] * r_t, and r_t is D_t * den_t
+        # times its source row minus its own multiples of earlier echelon
+        # rows: unfold from the last echelon row down, all in integers
+        total = scale * den
         coeffs = [Fraction(0)] * self.nrows
         for t in range(len(echelon) - 1, -1, -1):
             c = multiples.pop(t, 0)
             if c:
-                _, _, source, earlier, inv = echelon[t]
-                coeffs[source] = c = c * inv
+                _, _, source, earlier, source_scale = echelon[t]
+                coeffs[source] = Fraction(c * source_scale, total)
                 _accumulate(multiples, earlier.items(), -c)
         check = Combination()
         for c, row in zip(coeffs, self.rows):
@@ -126,46 +147,55 @@ class RelationMatrix:
 
     def _rank_mod(self, p: int) -> int:
         m = np.zeros((self.nrows, self.ncols), dtype=np.int64)
-        for i, row in enumerate(self._sparse):
-            for j, c in row.items():
-                if isinstance(c, Fraction):
-                    v = c.numerator * pow(c.denominator, -1, p) % p
-                else:
-                    v = c % p
-                m[i, j] = v
+        for i, (row, _) in enumerate(self._integer):
+            m[i, list(row)] = [c % p for c in row.values()]
         rank = 0
         for col in range(self.ncols):
             if rank == self.nrows:
                 break
-            hits = np.nonzero(m[rank:, col])[0]
+            hits = np.flatnonzero(m[rank:, col])
             if hits.size == 0:
                 continue
             pivot = rank + int(hits[0])
             if pivot != rank:
-                m[[rank, pivot]] = m[[pivot, rank]]
-            inv = pow(int(m[rank, col]), -1, p)
-            m[rank] = m[rank] * inv % p
-            below = m[rank + 1 :, col].copy()
-            mask = below != 0
-            if mask.any():
-                m[rank + 1 :][mask] = (
-                    m[rank + 1 :][mask] - below[mask, None] * m[rank][None, :]
-                ) % p
+                m[[rank, pivot], col:] = m[[pivot, rank], col:]
+            below = rank + hits[1:]
+            if below.size:
+                nz = col + np.flatnonzero(m[rank, col:])
+                factor = m[below, col] * pow(int(m[rank, col]), -1, p) % p
+                block = np.ix_(below, nz)
+                m[block] = (m[block] - factor[:, None] * m[rank, nz]) % p
             rank += 1
         return rank
 
 
 def _reduce(vec, echelon):
-    """Reduce a copy of ``vec`` over ``Fraction`` against the echelon rows.
+    """Reduce a copy of the integer row ``vec`` against the echelon rows.
 
-    Returns the remainder and the multiples ``{echelon position: c}`` of the
-    echelon rows subtracted from it.
+    Returns ``(r, M, D)`` with ``D > 0`` and ``D * vec = r + sum(M[t] * r_t)``
+    over the echelon rows ``r_t``, the common content of ``r``, ``M`` and
+    ``D`` divided out.
     """
-    vec = {j: Fraction(c) for j, c in vec.items()}
+    vec = dict(vec)
     multiples = {}
+    scale = 1
     for t, (pc, row, _, _, _) in enumerate(echelon):
-        c = vec.get(pc)
-        if c:
-            _accumulate(vec, row.items(), -c)
-            multiples[t] = c
-    return vec, multiples
+        a = vec.get(pc)
+        if a:
+            b = row[pc]
+            g = gcd(a, b)
+            f, e = b // g, a // g
+            if f < 0:
+                f, e = -f, -e
+            if f != 1:
+                vec = {j: f * c for j, c in vec.items()}
+                multiples = {s: f * c for s, c in multiples.items()}
+                scale *= f
+            _accumulate(vec, row.items(), -e)
+            multiples[t] = e
+    g = gcd(scale, *vec.values(), *multiples.values())
+    if g != 1:
+        vec = {j: c // g for j, c in vec.items()}
+        multiples = {s: c // g for s, c in multiples.items()}
+        scale //= g
+    return vec, multiples, scale

@@ -9,7 +9,11 @@ the exact ``verify`` suites at small weights, and ``verify numeric`` as text
 only (its JSON carries floats).  The last two cases, ``rank-table --k-min 8
 --k-max 9 --exact-up-to 8`` as text and JSON, were recorded while the table
 still ranked the Kawashima rows; they pin both rank modes (exact at weight 8,
-modular at weight 9) across the move to the raw stuffle rows.
+modular at weight 9) across the move to the raw stuffle rows.  The two
+after them, ``rank-table --k-min 10 --k-max 10 --exact-up-to 10`` as text and
+JSON, were recorded while exact ranks still came from the ``Fraction``
+echelon; they pin the weight-10 exact ranks across the move to integer
+arithmetic.
 """
 
 import json

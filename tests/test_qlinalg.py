@@ -3,11 +3,18 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from mzv.indices import Combination, all_indices, idx, parse_combination
+from mzv.indices import Combination, _accumulate, all_indices, idx, parse_combination
 from mzv.qlinalg import MODULAR_PRIMES, RelationMatrix
-from mzv.relations import duality_element, duality_relation, kawashima_basis, ohno_relations
+from mzv.relations import (
+    duality_element,
+    duality_relation,
+    kawashima_basis,
+    ohno_relations,
+    stuffle_rows,
+)
 
 
 def comb(s):
@@ -101,6 +108,12 @@ def test_modular_rank_matches_exact_on_generated_rows():
         assert m.modular_rank() == m.rank()
 
 
+def test_modular_rank_of_a_row_with_a_modular_prime_denominator():
+    # 1/p has no inverse mod p; the row's integer form (2) + p*(1,1) is (2) mod p
+    m = RelationMatrix(2, [comb("1/2147483647*(2) + (1,1)")])
+    assert m.modular_rank() == 1 == m.rank()
+
+
 def test_modular_prime_validation():
     m = RelationMatrix(2, [comb("(2)")])
     with pytest.raises(ValueError):
@@ -183,3 +196,135 @@ def test_certificates_match_the_recorded_ones():
             coefficients = {str(i): str(c) for i, c in enumerate(cert) if c}
             got.append({"weight": k, "target": rel.provenance, "coefficients": coefficients})
     assert got == recorded
+
+
+# -- the Fraction eliminations that the integer ones replaced, as oracles ----
+
+
+def _fraction_reduce(vec, echelon):
+    vec = {j: Fraction(c) for j, c in vec.items()}
+    multiples = {}
+    for t, (pc, row, _, _, _) in enumerate(echelon):
+        c = vec.get(pc)
+        if c:
+            _accumulate(vec, row.items(), -c)
+            multiples[t] = c
+    return vec, multiples
+
+
+def _fraction_echelon(rows):
+    """(pivot col, row with pivot 1, source row, multiples subtracted, 1 / pivot)."""
+    echelon = []
+    for i, row in enumerate(rows):
+        vec, multiples = _fraction_reduce(row, echelon)
+        if vec:
+            pc = min(vec)
+            inv = 1 / vec[pc]
+            echelon.append((pc, {j: c * inv for j, c in vec.items()}, i, multiples, inv))
+    return echelon
+
+
+def _fraction_certificate(nrows, echelon, x):
+    vec, multiples = _fraction_reduce(x, echelon)
+    if vec:
+        return None
+    coeffs = [Fraction(0)] * nrows
+    for t in range(len(echelon) - 1, -1, -1):
+        c = multiples.pop(t, 0)
+        if c:
+            _, _, source, earlier, inv = echelon[t]
+            coeffs[source] = c = c * inv
+            _accumulate(multiples, earlier.items(), -c)
+    return coeffs
+
+
+def _masked_rank_mod(rows, ncols, p):
+    """Full-width elimination mod p of rational rows, entry by entry."""
+    m = np.zeros((len(rows), ncols), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for j, c in row.items():
+            c = Fraction(c)
+            m[i, j] = c.numerator * pow(c.denominator, -1, p) % p
+    rank = 0
+    for col in range(ncols):
+        if rank == len(rows):
+            break
+        hits = np.nonzero(m[rank:, col])[0]
+        if hits.size == 0:
+            continue
+        pivot = rank + int(hits[0])
+        if pivot != rank:
+            m[[rank, pivot]] = m[[pivot, rank]]
+        m[rank] = m[rank] * pow(int(m[rank, col]), -1, p) % p
+        below = m[rank + 1 :, col].copy()
+        mask = below != 0
+        if mask.any():
+            m[rank + 1 :][mask] = (m[rank + 1 :][mask] - below[mask, None] * m[rank][None, :]) % p
+        rank += 1
+    return rank
+
+
+def _assert_matches_the_oracles(weight, rows, targets):
+    matrix = RelationMatrix(weight, rows)
+    colpos = {mu: j for j, mu in enumerate(matrix.columns)}
+
+    def sparse(x):
+        return {colpos[mu]: c for mu, c in x._terms.items()}
+
+    fraction_rows = [sparse(row) for row in matrix.rows]
+    echelon = _fraction_echelon(fraction_rows)
+    assert matrix.rank() == len(echelon)
+    for x in targets:
+        cert = matrix.member(x)
+        assert cert == _fraction_certificate(matrix.nrows, echelon, sparse(x))
+        assert cert is None or all(type(c) is Fraction for c in cert)
+    for p in MODULAR_PRIMES:
+        assert matrix.modular_rank(primes=(p,)) == _masked_rank_mod(fraction_rows, matrix.ncols, p)
+
+
+def _span_targets(rng, columns, rows, count=4):
+    """Seeded combinations of the rows, each also shifted by one column."""
+    targets = []
+    for _ in range(count):
+        x = Combination.zero()
+        for row in rows:
+            if rng.random() < 0.3:
+                x = x + Fraction(rng.randint(-7, 7), rng.randint(1, 6)) * row
+        targets += [x, x + Combination.term(rng.choice(columns))]
+    return targets
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_stuffle_and_ohno_rows_match_the_fraction_elimination(k):
+    rng = random.Random(k)
+    columns = all_indices(k)
+    for rows in (stuffle_rows(k), [rel.element for rel in ohno_relations(k)]):
+        _assert_matches_the_oracles(k, rows, _span_targets(rng, columns, rows))
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_kawashima_rows_and_duality_certificates_match_the_fraction_elimination(k):
+    rows = [rel.element for rel in kawashima_basis(k)]
+    _assert_matches_the_oracles(k, rows, [duality_element(mu) for mu in all_indices(k)])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_rational_rows_match_the_fraction_elimination(seed):
+    # sparse rows with negative and non-unit entries, some denominators up to
+    # 2**64, and dependent rows built from earlier ones
+    rng = random.Random(1000 + seed)
+    weight = rng.choice((4, 5, 6))
+    columns = all_indices(weight)
+    rows = []
+    for _ in range(rng.randint(3, 2 * len(columns))):
+        if rows and rng.random() < 0.3:
+            a, b = rng.choice(rows), rng.choice(rows)
+            rows.append(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) * a - b)
+            continue
+        row = Combination.zero()
+        for mu in rng.sample(columns, rng.randint(1, 5)):
+            den = rng.choice((1, 1, 2, 3, rng.randint(2, 2**64)))
+            num = rng.choice((-1, 1)) * rng.randint(1, 9)
+            row = row + Fraction(num, den) * Combination.term(mu)
+        rows.append(row)
+    _assert_matches_the_oracles(weight, rows, _span_targets(rng, columns, rows))

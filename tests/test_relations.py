@@ -100,6 +100,13 @@ def test_stuffle_rows_are_the_unrefined_kawashima_rows():
             assert fast.modular_rank() == slow.modular_rank() == 200
 
 
+def test_exact_ranks_at_weight_ten():
+    # the table's weight-10 row, exact rather than a modular lower bound
+    span = RelationMatrix(10, stuffle_rows(10))
+    assert span.rank() == 413 == span.modular_rank()
+    assert RelationMatrix.from_relations(ohno_relations(10)).rank() == 411
+
+
 def test_duality_element():
     assert duality_element(idx(2)) == term(2) - term(1, 1)
     assert duality_element(idx(1, 2)) == Combination.zero()

@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from math import comb
 
 from . import lyndon
 from .harmonic import seq_s, seq_s2
@@ -67,6 +68,10 @@ OPS = {
     "dual": dual,
     "plus": raise_last,
 }
+
+#: Terms of one weight-m index with p parts: 2**(m-p) refinements, 2**(p-1) coarsenings.
+EXPANSION = dict.fromkeys(("u", "refine", "uinv"), lambda mu: 2 ** (mu.weight - len(mu)))
+EXPANSION.update(dict.fromkeys(("d", "coarsen", "dinv"), lambda mu: 2 ** max(len(mu) - 1, 0)))
 
 PRODUCTS = {
     "*": stuffle,
@@ -151,40 +156,37 @@ def cmd_dual(args) -> int:
     return 0
 
 
+def _refuse_large(what: str, bound: int) -> None:
+    """Refuse, before any work, a request that could produce too many terms."""
+    if bound > 2 ** (HARD_WEIGHT_CAP - 1):
+        raise ValueError("%s could produce up to %d terms, above the limit %d"
+                         % (what, bound, 2 ** (HARD_WEIGHT_CAP - 1)))
+
+
+def _emit_result(payload: dict, result, output: str) -> int:
+    result = as_combination(result)
+    payload.update(result=format_combination(result), terms=terms_json(result))
+    _emit(payload, [payload["result"]], output)
+    return 0
+
+
 def cmd_apply(args) -> int:
     x = parse_combination(args.expr)
-    result = as_combination(OPS[args.op](x))
-    _emit(
-        {
-            "command": "apply",
-            "op": args.op,
-            "input": format_combination(x),
-            "result": format_combination(result),
-            "terms": terms_json(result),
-        },
-        [format_combination(result)],
-        args.output,
-    )
-    return 0
+    _refuse_large("apply " + args.op, sum(map(EXPANSION.get(args.op, lambda mu: 1), x._terms)))
+    payload = {"command": "apply", "op": args.op, "input": format_combination(x)}
+    return _emit_result(payload, OPS[args.op](x), args.output)
 
 
 def cmd_product(args) -> int:
     a = parse_combination(args.a)
     b = parse_combination(args.b)
-    result = PRODUCTS[args.kind](a, b)
-    _emit(
-        {
-            "command": "product",
-            "kind": args.kind,
-            "a": format_combination(a),
-            "b": format_combination(b),
-            "result": format_combination(result),
-            "terms": terms_json(result),
-        },
-        [format_combination(result)],
-        args.output,
-    )
-    return 0
+    # a pair with p and q parts has at most the Delannoy number D(p, q) terms
+    pairs = [(len(mu), len(nu)) for mu in a._terms for nu in b._terms]
+    _refuse_large("product " + args.kind, sum(
+        comb(p, i) * comb(q, i) * 2**i for p, q in pairs for i in range(min(p, q) + 1)))
+    payload = {"command": "product", "kind": args.kind, "a": format_combination(a),
+               "b": format_combination(b)}
+    return _emit_result(payload, PRODUCTS[args.kind](a, b), args.output)
 
 
 def cmd_rank_table(args) -> int:

@@ -18,7 +18,8 @@ equal-weight indices: both chains are run simultaneously, each of the
 the second (entry ``i`` is used ``mu_i`` times, entry ``j`` is used ``nu_j``
 times, both in increasing order), and the total is divided by the binomial
 coefficient ``C(n+k, n)``.  Specialising either argument to 0 recovers
-``seq_s`` of the other index.
+``seq_s`` of the other index.  ``seq_s2_table`` returns all of these values
+for ``a <= n``, ``b <= k`` from the one DP that the corner value needs.
 """
 
 from __future__ import annotations
@@ -116,24 +117,11 @@ def _chain_values(mu: MultiIndex, horizon: int, strict: bool) -> tuple:
     """Values of the chain sum for a bare index on 0..horizon."""
     if not mu:
         return (ONE,) * (horizon + 1)
-    level = [ONE] * (horizon + 1)
-    for depth, part in enumerate(mu):
-        if depth == 0:
-            level = [Fraction(1, (i + 1) ** part) for i in range(horizon + 1)]
-            continue
-        if strict:
-            acc = ZERO
-            nxt = []
-            for i in range(horizon + 1):
-                nxt.append(acc / (i + 1) ** part)
-                acc += level[i]
-        else:
-            acc = ZERO
-            nxt = []
-            for i in range(horizon + 1):
-                acc += level[i]
-                nxt.append(acc / (i + 1) ** part)
-        level = nxt
+    level = [Fraction(1, (i + 1) ** mu[0]) for i in range(horizon + 1)]
+    for part in mu[1:]:
+        # the earlier entry runs over i' < i (strict) or i' <= i (weak)
+        sums = accumulate(level[:-1], initial=ZERO) if strict else accumulate(level)
+        level = [acc / (i + 1) ** part for i, acc in enumerate(sums)]
     return tuple(level)
 
 
@@ -185,9 +173,19 @@ def _step_labels(mu: MultiIndex) -> list[int]:
 def seq_s2(mu, nu, n: int, k: int) -> Fraction:
     """The normalised two-chain sum for equal-weight indices ``mu``, ``nu``.
 
+    Read from :func:`seq_s2_table` on the grid ``n | 7`` by ``k | 7``, which
+    is memoised, so a sweep over the arguments of a small grid costs one DP.
+    """
+    return seq_s2_table(mu, nu, n | 7, k | 7)[n][k]
+
+
+def seq_s2_table(mu, nu, n: int, k: int) -> tuple[tuple[Fraction, ...], ...]:
+    """``seq_s2(mu, nu, a, b)`` for every ``a <= n``, ``b <= k``, as rows by ``a``.
+
     Runs a joint chain DP: state (a, b) holds the current entries of the two
     chains, each factor contributes 1/(a+b+1), and a chain entry advances
-    exactly where its index prescribes.
+    exactly where its index prescribes.  Entry (a, b) of the grid reads only
+    entries with a' <= a and b' <= b, so one grid serves all smaller arguments.
     """
     mu, nu = as_index(mu), as_index(nu)
     if not mu or not nu:
@@ -196,6 +194,11 @@ def seq_s2(mu, nu, n: int, k: int) -> Fraction:
         raise ValueError("indices must have equal weight")
     if n < 0 or k < 0:
         raise ValueError("arguments must be non-negative")
+    return _s2_table(mu, nu, n, k)
+
+
+@lru_cache(maxsize=1024)
+def _s2_table(mu: MultiIndex, nu: MultiIndex, n: int, k: int) -> tuple:
     left = _step_labels(mu)
     right = _step_labels(nu)
     m = mu.weight
@@ -221,4 +224,6 @@ def seq_s2(mu, nu, n: int, k: int) -> Fraction:
             row = grid[a]
             for b in range(k + 1):
                 row[b] /= a + b + 1
-    return grid[n][k] / comb(n + k, n)
+    return tuple(
+        tuple(v / comb(a + b, a) for b, v in enumerate(row)) for a, row in enumerate(grid)
+    )

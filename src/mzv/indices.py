@@ -8,6 +8,10 @@ the dual index, and containment of mark sets gives the refinement order:
 ``mu`` refines ``nu`` when both have the same weight and every mark of ``nu``
 is a mark of ``mu``.
 
+The operators read the marks as an integer mask, bit ``s-1`` for mark ``s``:
+``dual`` XORs it with all ones, ``refine``/``coarsen`` sum over the submasks
+of the free bits, and each resulting mask is decoded to an index once.
+
 On formal rational combinations of indices we provide the linear operators
 
 * ``reverse``   -- reverse the parts of every index,
@@ -24,9 +28,10 @@ together with the concatenation family (``concat``, ``merge_concat``,
 
 from __future__ import annotations
 
-import itertools
 import re
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Iterator, NamedTuple, Union
 
 
@@ -100,12 +105,7 @@ def encode_subset(mu: IndexLike) -> SubsetCode:
     mu = as_index(mu)
     if not mu:
         raise ValueError("phi has no subset code")
-    marks = []
-    total = 0
-    for p in mu[:-1]:
-        total += p
-        marks.append(total)
-    return SubsetCode(mu.weight, frozenset(marks))
+    return SubsetCode(mu.weight, frozenset(accumulate(mu[:-1])))
 
 
 def decode_subset(code: SubsetCode) -> MultiIndex:
@@ -119,6 +119,19 @@ def decode_subset(code: SubsetCode) -> MultiIndex:
     return MultiIndex(b - a for a, b in zip(cuts, cuts[1:]))
 
 
+def _mask(mu: MultiIndex) -> int:
+    """The marks of ``mu`` as an integer: bit ``s-1`` for mark ``s``."""
+    return sum(1 << (s - 1) for s in accumulate(mu[:-1]))
+
+
+@lru_cache(maxsize=1 << 15)
+def _unmask(m: int, mask: int) -> MultiIndex:
+    """The weight-``m`` index with the marks of ``mask``; phi for ``m = 0``."""
+    cuts = [0] + [s for s in range(1, m) if mask >> (s - 1) & 1] + [m]
+    # differences of increasing cuts are positive: no validation needed
+    return tuple.__new__(MultiIndex, [b - a for a, b in zip(cuts, cuts[1:])]) if m else PHI
+
+
 def all_indices(weight: int) -> list[MultiIndex]:
     """All multi-indices of the given weight, sorted by parts.
 
@@ -128,12 +141,7 @@ def all_indices(weight: int) -> list[MultiIndex]:
         raise ValueError("weight must be >= 0")
     if weight == 0:
         return [PHI]
-    out = []
-    for r in range(weight):
-        for marks in itertools.combinations(range(1, weight), r):
-            out.append(decode_subset(SubsetCode(weight, frozenset(marks))))
-    out.sort()
-    return out
+    return sorted(_unmask(weight, mask) for mask in range(1 << (weight - 1)))
 
 
 def refines(mu: IndexLike, nu: IndexLike) -> bool:
@@ -141,9 +149,7 @@ def refines(mu: IndexLike, nu: IndexLike) -> bool:
     mu, nu = as_index(mu), as_index(nu)
     if mu.weight != nu.weight:
         return False
-    if not mu:
-        return True
-    return encode_subset(nu).marks <= encode_subset(mu).marks
+    return not mu or _mask(nu) & ~_mask(mu) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +317,9 @@ def reverse(x):
 
 def signed(x) -> Combination:
     """Multiply every index by (-1)**length."""
-    return _lift(x, lambda mu: Combination.term(mu, (-1) ** len(mu)))
+    out = Combination()
+    out._terms = {mu: -c if len(mu) & 1 else c for mu, c in as_combination(x)._terms.items()}
+    return out
 
 
 def dual(x):
@@ -322,45 +330,43 @@ def dual(x):
 
 
 def _dual_index(mu: MultiIndex) -> MultiIndex:
-    if not mu:
-        return PHI
-    m, marks = encode_subset(mu)
-    return decode_subset(SubsetCode(m, frozenset(range(1, m)) - marks))
+    m = mu.weight
+    return _unmask(m, _mask(mu) ^ (1 << max(m - 1, 0)) - 1)
 
 
 def refine(x) -> Combination:
     """Sum of all refinements of every index (the mark supersets)."""
-    return _lift(x, _refinements)
+    return _submask_sum(x, refining=True)
 
 
 def coarsen(x) -> Combination:
     """Sum of all coarsenings of every index (the mark subsets)."""
-    return _lift(x, _coarsenings)
+    return _submask_sum(x, refining=False)
 
 
-def _refinements(mu: MultiIndex) -> Combination:
-    if not mu:
-        return Combination.term(PHI)
-    m, marks = encode_subset(mu)
-    free = sorted(frozenset(range(1, m)) - marks)
+def _submask_sum(x, refining: bool) -> Combination:
+    """Replace each index by the indices with marks ``fixed | sub`` for every
+    ``sub`` of ``free``: refining fixes the marks and frees the other bits,
+    coarsening fixes nothing and frees the marks.  A weight-``m`` key carries
+    the bit ``1 << (m - 1)`` (phi is 0), so its bit length is its weight."""
+    acc = {}
+    get = acc.get
+    for mu, c in as_combination(x)._terms.items():
+        top = 1 << mu.weight >> 1
+        mask = _mask(mu)
+        fixed, free = (top | mask, max(top - 1, 0) & ~mask) if refining else (top, mask)
+        sub = free
+        while True:
+            key = fixed | sub
+            acc[key] = get(key, 0) + c
+            if not sub:
+                break
+            sub = (sub - 1) & free
     out = Combination()
-    for r in range(len(free) + 1):
-        for extra in itertools.combinations(free, r):
-            nu = decode_subset(SubsetCode(m, marks | frozenset(extra)))
-            out._terms[nu] = 1
-    return out
-
-
-def _coarsenings(mu: MultiIndex) -> Combination:
-    if not mu:
-        return Combination.term(PHI)
-    m, marks = encode_subset(mu)
-    marks = sorted(marks)
-    out = Combination()
-    for r in range(len(marks) + 1):
-        for kept in itertools.combinations(marks, r):
-            nu = decode_subset(SubsetCode(m, frozenset(kept)))
-            out._terms[nu] = 1
+    for key, c in acc.items():
+        if c:
+            m = key.bit_length()
+            out._terms[_unmask(m, key ^ (1 << m >> 1))] = c
     return out
 
 
@@ -380,11 +386,7 @@ def coarsen_inv(x) -> Combination:
 
 def concat(x, y) -> Combination:
     """Concatenation, extended bilinearly; phi is the unit."""
-    x, y = as_combination(x), as_combination(y)
-    out = Combination()
-    for mu, c in x._terms.items():
-        _accumulate(out._terms, ((MultiIndex(mu + nu), d) for nu, d in y._terms.items()), c)
-    return out
+    return _join(x, y, lambda mu, nu: MultiIndex(mu + nu))
 
 
 def merge_concat(x, y) -> Combination:
@@ -393,10 +395,14 @@ def merge_concat(x, y) -> Combination:
     ``(a,..,b) merged with (c,..,d)`` is ``(a,..,b+c,..,d)``; phi acts as the
     unit here as well.
     """
+    return _join(x, y, _fuse)
+
+
+def _join(x, y, pair) -> Combination:
     x, y = as_combination(x), as_combination(y)
     out = Combination()
     for mu, c in x._terms.items():
-        _accumulate(out._terms, ((_fuse(mu, nu), d) for nu, d in y._terms.items()), c)
+        _accumulate(out._terms, ((pair(mu, nu), d) for nu, d in y._terms.items()), c)
     return out
 
 
@@ -463,20 +469,13 @@ def partition(mu: IndexLike, sizes: Iterable[int]) -> tuple[MultiIndex, ...]:
         raise ValueError(
             "block weights sum to %d but the index has weight %d" % (sum(sizes), mu.weight)
         )
-    if not mu:
-        return tuple(PHI for _ in sizes)
-    marks = sorted(encode_subset(mu).marks)
+    # a block's marks are the marks strictly inside it, shifted down by its start
+    mask = _mask(mu)
     blocks = []
     pos = 0
     for s in sizes:
-        if s == 0:
-            blocks.append(PHI)
-            continue
-        lo, hi = pos, pos + s
-        inner = [t for t in marks if lo < t < hi]
-        cuts = [lo] + inner + [hi]
-        blocks.append(MultiIndex(b - a for a, b in zip(cuts, cuts[1:])))
-        pos = hi
+        blocks.append(_unmask(s, mask >> pos & (1 << max(s - 1, 0)) - 1))
+        pos += s
     return tuple(blocks)
 
 

@@ -26,11 +26,11 @@ from .indices import (
     Combination,
     MultiIndex,
     _accumulate,
+    _mask,
     as_combination,
     as_index,
     concat,
     dual,
-    encode_subset,
     idx,
     merge_concat,
     ones,
@@ -116,21 +116,8 @@ def ohno_ones_blocks(r: int, mu) -> Combination:
     Cut the part list into blocks ``b0 # b1 # .. # br`` with ``b0..b(r-1)``
     non-empty; each term glues ``b0, (1)#b1, .., (1)#br`` by merge_concat.
     """
-    mu = as_index(mu)
-    if r < 0:
-        raise ValueError("the shift amount must be >= 0")
-    if not mu:
-        return Combination.zero() if r else Combination.term(PHI)
-    q = len(mu)
-    out = Combination.zero()
-    for cuts in _list_splits(q, r, allow_empty_init=False, allow_empty_last=True):
-        bounds = (0,) + cuts + (q,)
-        blocks = [MultiIndex(mu[a:b]) for a, b in zip(bounds, bounds[1:])]
-        term = as_combination(blocks[0])
-        for block in blocks[1:]:
-            term = merge_concat(term, concat(idx(1), block))
-        out = out + term
-    return out
+    return _list_split_sum(r, mu, False, True, lambda blocks: [blocks[0]] + [
+        concat(idx(1), block) for block in blocks[1:]])
 
 
 def ohno_u_blocks(r: int, mu) -> Combination:
@@ -140,30 +127,33 @@ def ohno_u_blocks(r: int, mu) -> Combination:
     last non-empty; each term glues ``b0#(1), .., b(r-1)#(1), br`` by
     merge_concat.
     """
+    return _list_split_sum(r, mu, True, False, lambda blocks: [
+        concat(block, idx(1)) for block in blocks[:-1]] + [blocks[-1]])
+
+
+def _list_split_sum(r: int, mu, allow_empty_init: bool, allow_empty_last: bool, pieces):
+    """Sum over the list splits of ``mu`` into r+1 blocks of ``pieces(blocks)``
+    glued by merge_concat."""
     mu = as_index(mu)
     if r < 0:
         raise ValueError("the shift amount must be >= 0")
     if not mu:
         return Combination.zero() if r else Combination.term(PHI)
-    if r == 0:
-        return Combination.term(mu)
     q = len(mu)
     out = Combination.zero()
-    for cuts in _list_splits(q, r, allow_empty_init=True, allow_empty_last=False):
+    for cuts in _list_splits(q, r, allow_empty_init, allow_empty_last):
         bounds = (0,) + cuts + (q,)
-        blocks = [MultiIndex(mu[a:b]) for a, b in zip(bounds, bounds[1:])]
-        term = as_combination(concat(blocks[0], idx(1)))
-        for block in blocks[1:-1]:
-            term = merge_concat(term, concat(block, idx(1)))
-        term = merge_concat(term, blocks[-1])
+        term = Combination.term(PHI)
+        for piece in pieces([MultiIndex(mu[a:b]) for a, b in zip(bounds, bounds[1:])]):
+            term = merge_concat(term, piece)
         out = out + term
     return out
 
 
 def _nonboundary_cut_positions(mu: MultiIndex) -> list[int]:
     """0 and the weight positions strictly inside a part of ``mu``."""
-    marks = encode_subset(mu).marks
-    return [0] + [c for c in range(1, mu.weight) if c not in marks]
+    mask = _mask(mu)
+    return [0] + [c for c in range(1, mu.weight) if not mask >> (c - 1) & 1]
 
 
 def _weight_split_sum(r: int, mu, cut_positions) -> Combination:

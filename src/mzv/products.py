@@ -111,7 +111,8 @@ def stuffle_bar_via_matrices(mu, nu) -> Combination:
 
 
 def _concat_last(comb: Combination, part: int) -> dict:
-    return {MultiIndex(mu + (part,)): c for mu, c in comb._terms.items()}
+    # a positive part appended to valid indices: no validation needed
+    return {tuple.__new__(MultiIndex, mu + (part,)): c for mu, c in comb._terms.items()}
 
 
 def _merge_dicts(*dicts) -> Combination:

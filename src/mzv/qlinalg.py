@@ -116,22 +116,24 @@ class RelationMatrix:
             return None
         # total * x is the sum of multiples[t] * r_t, and r_t is D_t * den_t
         # times its source row minus its own multiples of earlier echelon
-        # rows: unfold from the last echelon row down, all in integers
+        # rows: unfold from the last echelon row down, all in integers, into
+        # numerators[i] = total * coefficient of row i, and re-verify against
+        # the rows themselves (not their integer forms) before dividing
         total = scale * den
-        coeffs = [Fraction(0)] * self.nrows
+        numerators = {}
+        check = {}
         for t in range(len(echelon) - 1, -1, -1):
             c = multiples.pop(t, 0)
             if c:
                 _, _, source, earlier, source_scale = echelon[t]
-                coeffs[source] = Fraction(c * source_scale, total)
+                numerators[source] = n = c * source_scale
+                _accumulate(check, self.rows[source]._terms.items(), n)
                 _accumulate(multiples, earlier.items(), -c)
-        check = Combination()
-        for c, row in zip(coeffs, self.rows):
-            if c:
-                # c * row stores whole coefficients as int, keeping these sums in int arithmetic
-                _accumulate(check._terms, (c * row)._terms.items())
-        if check != x:
+        if check != {mu: total * c for mu, c in x._terms.items()}:
             raise AssertionError("membership certificate failed re-verification")
+        coeffs = [Fraction(0)] * self.nrows
+        for i, n in numerators.items():
+            coeffs[i] = Fraction(n, total)
         return coeffs
 
     # -- modular lower bound -------------------------------------------------

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -272,3 +276,35 @@ def test_bad_env_value(monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.build_parser()
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["apply", "refine", "(26)"],
+        ["apply", "uinv", "(2,25)"],
+        ["apply", "coarsen", "(" + ",".join(["1"] * 26) + ")"],
+        ["apply", "dinv", "(" + ",".join(["1"] * 26) + ")"],
+        ["product", "*", "(" + ",".join(["1"] * 12) + ")", "(" + ",".join(["1"] * 12) + ")"],
+        ["product", "circ", "(" + ",".join(["1"] * 12) + ")", "(" + ",".join(["1"] * 12) + ")"],
+    ],
+)
+def test_apply_and_product_refuse_huge_expansions_up_front(argv):
+    # in a subprocess with a timeout, so that a missing guard fails instead of hanging
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1])] + sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mzv.cli", *argv],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("mzv: ") and "terms, above the limit 524288" in proc.stderr
+
+
+def test_cheap_applications_of_long_indices_still_run(capsys):
+    code, out, _ = run(["apply", "dual", "(30)"], capsys)
+    assert (code, out) == (0, "(" + ",".join(["1"] * 30) + ")\n")
+    code, out, _ = run(["apply", "coarsen", "(30)"], capsys)
+    assert (code, out) == (0, "(30)\n")
+    code, out, _ = run(["product", "*", "(30)", "(1,1)"], capsys)
+    assert code == 0 and out.count("+") == 4

@@ -11,6 +11,7 @@ from mzv.harmonic import (
     seq_a,
     seq_s,
     seq_s2,
+    seq_s2_table,
 )
 from mzv.indices import PHI, Combination, all_indices, coarsen, coarsen_inv, dual, idx
 from mzv.products import circ, circ_bar, stuffle, stuffle_bar
@@ -310,3 +311,49 @@ def test_lower_bound_on_pinned_sum():
             s = seq_s(mu, 6)
             for n in range(7):
                 assert s[n] >= Fraction(1, (n + 1) ** mu.weight)
+
+
+def _oracle_seq_s2(mu, nu, n, k):
+    """The per-call DP that seq_s2_table replaced: one grid per (n, k)."""
+    left = [i for i, part in enumerate(mu) for _ in range(part)]
+    right = [j for j, part in enumerate(nu) for _ in range(part)]
+    grid = [[Fraction(1, a + b + 1) for b in range(k + 1)] for a in range(n + 1)]
+    for t in range(1, sum(mu)):
+        if left[t] != left[t - 1]:
+            for b in range(k + 1):
+                acc = Fraction(0)
+                for a in range(n + 1):
+                    acc += grid[a][b]
+                    grid[a][b] = acc
+        if right[t] != right[t - 1]:
+            for a in range(n + 1):
+                acc = Fraction(0)
+                row = grid[a]
+                for b in range(k + 1):
+                    acc += row[b]
+                    row[b] = acc
+        for a in range(n + 1):
+            row = grid[a]
+            for b in range(k + 1):
+                row[b] /= a + b + 1
+    return grid[n][k] / math.comb(n + k, n)
+
+
+def test_two_parameter_table_matches_the_per_call_dp():
+    for m in range(1, 5):
+        for mu in all_indices(m):
+            for nu in all_indices(m):
+                table = seq_s2_table(mu, nu, 6, 6)
+                assert len(table) == 7 and all(len(row) == 7 for row in table)
+                for a in range(7):
+                    for b in range(7):
+                        want = _oracle_seq_s2(mu, nu, a, b)
+                        assert table[a][b] == want, (mu, nu, a, b)
+                        assert seq_s2(mu, nu, a, b) == want
+    # grids that are not square, and arguments past one memoised block
+    assert seq_s2_table(idx(2, 1), idx(1, 2), 2, 9)[2] == tuple(
+        _oracle_seq_s2(idx(2, 1), idx(1, 2), 2, b) for b in range(10)
+    )
+    assert seq_s2(idx(3), idx(1, 2), 11, 3) == _oracle_seq_s2(idx(3), idx(1, 2), 11, 3)
+    with pytest.raises(ValueError):
+        seq_s2_table(idx(2), idx(1, 1), 1, -1)

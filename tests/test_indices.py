@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -33,6 +35,8 @@ from mzv.indices import (
     reverse,
     signed,
 )
+from mzv.products import stuffle
+from mzv.relations import _pairs, kawashima_basis
 
 
 def test_multiindex_basics():
@@ -264,3 +268,115 @@ def test_parse_format_roundtrip_is_canonical():
         for mu in all_indices(w):
             x = Combination.term(mu, Fraction(-7, 3)) + Combination.term(ones(w), 5)
             assert parse_combination(format_combination(x)) == x
+
+
+# -- the frozenset operators that the mark masks replaced, as oracles --------
+
+
+def _oracle_refinements(mu):
+    if not mu:
+        return Combination.term(PHI)
+    m, marks = encode_subset(mu)
+    free = sorted(frozenset(range(1, m)) - marks)
+    out = Combination()
+    for r in range(len(free) + 1):
+        for extra in itertools.combinations(free, r):
+            nu = decode_subset(SubsetCode(m, marks | frozenset(extra)))
+            out._terms[nu] = 1
+    return out
+
+
+def _oracle_coarsenings(mu):
+    if not mu:
+        return Combination.term(PHI)
+    m, marks = encode_subset(mu)
+    marks = sorted(marks)
+    out = Combination()
+    for r in range(len(marks) + 1):
+        for kept in itertools.combinations(marks, r):
+            nu = decode_subset(SubsetCode(m, frozenset(kept)))
+            out._terms[nu] = 1
+    return out
+
+
+def _oracle_dual_index(mu):
+    if not mu:
+        return PHI
+    m, marks = encode_subset(mu)
+    return decode_subset(SubsetCode(m, frozenset(range(1, m)) - marks))
+
+
+def _oracle_signed(x):
+    return Combination((mu, (-1) ** len(mu) * c) for mu, c in x.terms())
+
+
+def _oracle_refine(x):
+    return x.map_terms(_oracle_refinements)
+
+
+def _oracle_coarsen(x):
+    return x.map_terms(_oracle_coarsenings)
+
+
+def _oracle_all_indices(weight):
+    if weight == 0:
+        return [PHI]
+    out = [
+        decode_subset(SubsetCode(weight, frozenset(marks)))
+        for r in range(weight)
+        for marks in itertools.combinations(range(1, weight), r)
+    ]
+    return sorted(out)
+
+
+def test_mark_mask_operators_match_the_frozenset_oracle():
+    for w in range(0, 11):
+        indices = all_indices(w)
+        assert indices == _oracle_all_indices(w)
+        assert all(type(mu) is MultiIndex for mu in indices)
+        for mu in indices:
+            x = Combination.term(mu, Fraction(-3, 2))
+            assert refine(mu) == _oracle_refinements(mu)
+            assert coarsen(mu) == _oracle_coarsenings(mu)
+            assert refine(x) == _oracle_refine(x)
+            assert coarsen(x) == _oracle_coarsen(x)
+            assert refine_inv(x) == _oracle_signed(_oracle_refine(_oracle_signed(x)))
+            assert coarsen_inv(x) == _oracle_signed(_oracle_coarsen(_oracle_signed(x)))
+            assert signed(x) == _oracle_signed(x)
+            assert dual(mu) == _oracle_dual_index(mu)
+            assert type(dual(mu)) is MultiIndex
+            assert dual(x) == x.map_terms(_oracle_dual_index)
+    for w in range(0, 8):
+        indices = all_indices(w)
+        for mu in indices:
+            for nu in indices:
+                want = not mu or encode_subset(nu).marks <= encode_subset(mu).marks
+                assert refines(mu, nu) == want, (mu, nu)
+
+
+def test_mark_mask_operators_on_mixed_combinations():
+    # terms of several weights (phi included) whose images overlap and cancel
+    rng = random.Random(5)
+    pool = [mu for w in range(0, 8) for mu in all_indices(w)]
+    for _ in range(60):
+        x = Combination(
+            (rng.choice(pool), Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 12))
+        )
+        assert refine(x) == _oracle_refine(x)
+        assert coarsen(x) == _oracle_coarsen(x)
+        assert refine_inv(x) == _oracle_signed(_oracle_refine(_oracle_signed(x)))
+        assert coarsen_inv(x) == _oracle_signed(_oracle_coarsen(_oracle_signed(x)))
+        assert dual(x) == x.map_terms(_oracle_dual_index)
+        assert 0 not in refine(x)._terms.values()
+    # the shared refinement (1,1,1) cancels and leaves no zero term behind
+    assert refine(Combination.term((1, 2)) + Combination.term((1, 1, 1), -1)) == Combination(
+        [((1, 2), 1)]
+    )
+
+
+def test_kawashima_basis_matches_the_oracle_built_rows():
+    for k in range(2, 8):
+        got = kawashima_basis(k)
+        want = [_oracle_refine(_oracle_signed(stuffle(mu, nu))) for mu, nu in _pairs(k)]
+        assert [rel.element for rel in got] == want

@@ -82,6 +82,25 @@ def test_member_certificate_with_redundant_rows():
     assert total == x
 
 
+def test_member_rejects_a_certificate_built_from_a_corrupted_integer_row():
+    # member() re-verifies against the rows themselves, not their integer
+    # forms, so a wrong integer row is caught instead of certified
+    relations = kawashima_basis(6)
+    x = duality_element(idx(2, 1, 1, 2))
+    cert = RelationMatrix.from_relations(relations).member(x)
+    assert cert is not None
+    for i in (i for i, c in enumerate(cert) if c):
+        span = RelationMatrix.from_relations(relations)
+        row, den = span._integer[i]
+        span._integer[i] = (row, 2 * den)
+        with pytest.raises(AssertionError, match="re-verification"):
+            span.member(x)
+        span = RelationMatrix.from_relations(relations)
+        span._integer[i] = ({j: 3 * c for j, c in row.items()}, den)
+        with pytest.raises(AssertionError, match="re-verification"):
+            span.member(x)
+
+
 def test_duality_certificates_are_exact_fractions():
     # an int pivot would turn the echelon's 1 / pivot into a float division;
     # the re-verified certificate still compares equal, so only the type shows it

@@ -165,7 +165,9 @@ def _refuse_large(what: str, bound: int) -> None:
 
 def _emit_result(payload: dict, result, output: str) -> int:
     result = as_combination(result)
-    payload.update(result=format_combination(result), terms=terms_json(result))
+    payload["result"] = format_combination(result)
+    if output == "json":
+        payload["terms"] = terms_json(result)
     _emit(payload, [payload["result"]], output)
     return 0
 

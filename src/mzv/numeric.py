@@ -3,11 +3,13 @@
 Each index is evaluated by a vectorised dynamic program over the chain
 variables up to a truncation bound ``N`` (default one million): level ``j``
 multiplies the running prefix sums of level ``j-1`` by ``1/(n+1)**part_j``,
-strictly or weakly depending on the sum type, and the final level is totalled
-with compensated summation.  Estimates carry a doubling error bar,
-``err = 2 * |estimate(N) - estimate(N // 2)|``, which is what the relation
-verdicts compare against: a relation passes when the accumulated value does
-not exceed ``max(tol, err)``.
+strictly or weakly depending on the sum type.  It runs over blocks of
+``2**13`` values of ``n`` with one running sum per level, so its memory does
+not grow with ``N``, and totals the final level with exact block sums,
+rounded once to the nearest float (ties to even).  Estimates carry a doubling
+error bar, ``err = 2 * |estimate(N) - estimate(N // 2)|``, which is what the
+relation verdicts compare against: a relation passes when the accumulated
+value does not exceed ``max(tol, err)``.
 
 The error bar is floored at a few machine epsilons of the accumulated
 magnitude: a truncated double-precision sum is never accurate beyond that, so
@@ -19,7 +21,6 @@ Only indices whose last part is at least 2 converge; anything else raises.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -43,17 +44,63 @@ class MzvEstimate:
         return self.value
 
 
+#: Chain positions per block of the dynamic program.
+_BLOCK = 1 << 13
+#: Multiplying by 2**_LIFT is exact and lifts every subnormal into the normal
+#: range, where the split below is exact; sums are integers in units of 2**-_UNIT.
+_LIFT = 54
+_UNIT = 1074 + _LIFT
+
+
+def _exact_sum(t) -> int:
+    """Exact sum of at most ``2**15`` doubles, in units of ``2**-_UNIT``.
+
+    A Veltkamp split writes each lifted term of biased exponent ``e`` as
+    ``hi + lo``, where ``hi`` is a multiple of ``2**(e-1048)`` and ``lo`` of
+    ``2**(e-1075)``, each at most ``2**26`` such steps.  Per exponent, at most
+    ``2**15`` of them total at most ``2**41`` steps, so ``np.bincount`` adds
+    them exactly in float64; the bucket totals are then added as integers.
+    """
+    if len(t) > 1 << 15:
+        raise ValueError("an exact block sum takes at most 2**15 terms")
+    u = t * 2.0**_LIFT
+    exponent = (u.view(np.int64) >> 52) & 0x7FF
+    # beyond biased exponent 2018 (|t| >= 2**942) the split could overflow
+    if exponent.max(initial=0) > 2018:
+        raise ValueError("chain terms must be finite and below 2**942 to be summed exactly")
+    c = u * 134217729.0
+    hi = c - (c - u)
+    total = 0
+    for piece, step in ((hi, 1048), (u - hi, 1075)):
+        sums = np.bincount(exponent, piece)
+        e = np.flatnonzero(sums)
+        steps = np.ldexp(sums[e], step - e).astype(np.int64)
+        total += sum(n << k for n, k in zip(steps.tolist(), (e + 1074 - step).tolist()))
+    return total
+
+
 @lru_cache(maxsize=256)
 def _chain_partials(mu: MultiIndex, N: int, strict: bool) -> tuple:
     """(sum to N, sum to N//2) of the chain terms of a bare index."""
-    x = np.arange(1.0, N + 2.0)
-    t = x ** float(-mu[0])
-    for part in mu[1:]:
-        prefix = np.cumsum(t)
-        if strict:
-            prefix = np.concatenate(([0.0], prefix[:-1]))
-        t = prefix * x ** float(-part)
-    return (math.fsum(t), math.fsum(t[: N // 2 + 1]))
+    carry = [0.0] * (len(mu) - 1)
+    cut = N // 2 + 1
+    full = half = 0
+    for start in range(0, N + 1, _BLOCK):
+        x = np.arange(start + 1.0, min(start + _BLOCK, N + 1) + 1.0)
+        t = x ** float(-mu[0])
+        for j, part in enumerate(mu[1:]):
+            before = carry[j]
+            t[0] += before  # so that the prefix sums continue bit for bit
+            prefix = np.cumsum(t)
+            carry[j] = prefix[-1]
+            if strict:
+                prefix = np.concatenate(([before], prefix[:-1]))
+            t = prefix * x ** float(-part)
+        if start < cut <= start + len(t):
+            half = full + _exact_sum(t[: cut - start])
+        full += _exact_sum(t)
+    # int / int true division rounds correctly, half to even
+    return (full / (1 << _UNIT), half / (1 << _UNIT))
 
 
 def _evaluate(x, N: int, strict: bool) -> MzvEstimate:

@@ -308,3 +308,16 @@ def test_cheap_applications_of_long_indices_still_run(capsys):
     assert (code, out) == (0, "(30)\n")
     code, out, _ = run(["product", "*", "(30)", "(1,1)"], capsys)
     assert code == 0 and out.count("+") == 4
+
+
+def test_text_output_never_builds_json_terms(monkeypatch, capsys):
+    calls = []
+    real = cli.terms_json
+    monkeypatch.setattr(cli, "terms_json", lambda x: calls.append(x) or real(x))
+    for argv in (["apply", "refine", "(6)"], ["product", "*", "(1)", "(2,3)"]):
+        code, out, _ = run(argv, capsys)
+        assert code == 0 and out.count("+") >= 4
+    assert calls == []
+    code, out, _ = run(["apply", "refine", "(6)", "--output", "json"], capsys)
+    assert code == 0 and len(calls) == 1
+    assert len(json.loads(out)["terms"]) == 32

@@ -5,15 +5,18 @@ stderr that ``mzv.cli.main`` produced for them before the package's
 duplicated code paths were folded together; refactors must keep them.  The
 cases cover every ``apply`` operator and ``product`` kind on inputs with
 fractional coefficients and phi (text and JSON), ``rank-table --k-max 7``,
-the exact ``verify`` suites at small weights, and ``verify numeric`` as text
-only (its JSON carries floats).  The last two cases, ``rank-table --k-min 8
+the exact ``verify`` suites at small weights, and ``verify numeric`` as text.  The last two cases, ``rank-table --k-min 8
 --k-max 9 --exact-up-to 8`` as text and JSON, were recorded while the table
 still ranked the Kawashima rows; they pin both rank modes (exact at weight 8,
 modular at weight 9) across the move to the raw stuffle rows.  The two
 after them, ``rank-table --k-min 10 --k-max 10 --exact-up-to 10`` as text and
 JSON, were recorded while exact ranks still came from the ``Fraction``
 echelon; they pin the weight-10 exact ranks across the move to integer
-arithmetic.
+arithmetic.  The last case, ``verify numeric --pairs-up-to 4 --truncation
+100003`` as JSON, was recorded while the chain sums still ran over whole
+arrays and were totalled by ``math.fsum``; it pins every value and error bar,
+to the last bit, across the move to blockwise sums (100003 is no multiple of
+the block size).
 """
 
 import json

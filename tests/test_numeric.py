@@ -1,11 +1,17 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from mzv.indices import Combination, as_combination, idx
 from mzv.numeric import (
+    _BLOCK,
+    _UNIT,
     DEFAULT_TRUNCATION,
     MzvEstimate,
+    _chain_partials,
+    _exact_sum,
     default_tolerance,
     verify_linear,
     verify_quadratic,
@@ -139,3 +145,73 @@ def test_verify_quadratic_degree_one_routes_to_linear():
     assert report == verify_linear(rel, N=10**4, tol=1e-3)
     assert report["relation"] == "quadratic((1)|(1)|1)"
     assert report["pass"] is True
+
+
+def _whole_array_partials(mu, N, strict):
+    # the whole-array dynamic program with math.fsum that the blockwise one replaced
+    x = np.arange(1.0, N + 2.0)
+    t = x ** float(-mu[0])
+    for part in mu[1:]:
+        prefix = np.cumsum(t)
+        if strict:
+            prefix = np.concatenate(([0.0], prefix[:-1]))
+        t = prefix * x ** float(-part)
+    return (math.fsum(t), math.fsum(t[: N // 2 + 1]))
+
+
+CHAIN_INDICES = [(2,), (1, 3), (3, 1, 2), (1, 1, 1, 2), (2, 1, 3, 1, 2)]
+# 2 * _BLOCK - 2 puts the half cut N // 2 + 1 exactly on the first block boundary
+CHAIN_TRUNCATIONS = [1000, 1001, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 2,
+                     2 * _BLOCK, 3 * _BLOCK + 7]
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("N", CHAIN_TRUNCATIONS)
+def test_blockwise_partials_match_the_whole_array_oracle(N, strict):
+    for mu in CHAIN_INDICES:
+        got = _chain_partials.__wrapped__(mu, N, strict)
+        assert got == _whole_array_partials(mu, N, strict), (mu, N, strict)
+
+
+def test_exact_sum_rounds_like_fsum():
+    rng = np.random.default_rng(20070225)
+    for case in range(200):
+        n = int(rng.integers(0, _BLOCK + 1)) if case % 10 else 1 << 15
+        low = -1074 if case % 2 else int(rng.integers(-1074, 800))
+        t = np.ldexp(rng.standard_normal(n), rng.integers(low, 891, n))
+        if case % 3 == 0:
+            t[::5] = 0.0
+        if case % 4 == 0:
+            # cancellation: the negated first half, with a few terms nudged
+            t[n // 2 :] = -t[: n - n // 2]
+            t[n // 2 :: 97] *= 1.0 + 2.0**-52
+        if case % 7 == 0:
+            t[::3] = np.ldexp(rng.standard_normal(len(t[::3])), -1074 + 52)  # subnormals
+        got = _exact_sum(t) / (1 << _UNIT)
+        want = math.fsum(t)
+        assert got.hex() == want.hex(), (case, got, want)
+    # 2**15 - 1 of the largest subnormal and one of the smallest: split halves
+    # of subnormals share no grid unless they are lifted into the normal range
+    t = np.full(1 << 15, (2**52 - 1) * 5e-324)
+    t[0] = 5e-324
+    assert _exact_sum(t) == ((2**15 - 1) * (2**52 - 1) + 1) << (_UNIT - 1074)
+
+
+def test_exact_sum_refuses_what_it_cannot_sum_exactly():
+    for bad in (math.inf, -math.inf, math.nan, 2.0**942, -(2.0**1000)):
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
+            _exact_sum(np.array([1.0, bad]))
+    assert _exact_sum(np.array([2.0**941 * 1.5, -(2.0**941)])) == 2**940 << _UNIT
+    with pytest.raises(ValueError):
+        _exact_sum(np.ones((1 << 15) + 1))
+
+
+def test_chain_partials_memory_does_not_grow_with_truncation():
+    tracemalloc.start()
+    try:
+        _chain_partials.__wrapped__((1, 2, 1, 2), 4 * 10**6, True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the whole-array program held about 160 MB of live arrays at this N
+    assert peak < 4 * 2**20, peak

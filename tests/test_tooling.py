@@ -1,6 +1,8 @@
 """Checks on the package source itself."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mzv"
@@ -15,3 +17,15 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_benchmark_self_check():
+    # the benchmark's tracer hooks functions by name; its self-check fails on a
+    # hook that no longer fires or a command whose output changed
+    root = SRC.parents[1]
+    proc = subprocess.run(
+        [sys.executable, "benchmarks/run.py", "--self-check"],
+        cwd=root, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "self-check ok" in proc.stdout.splitlines()

@@ -36,7 +36,7 @@ from .indices import (
     reverse,
     signed,
 )
-from .numeric import DEFAULT_TRUNCATION, verify_linear, verify_quadratic
+from .numeric import DEFAULT_TRUNCATION, expect_linear, verify_linear, verify_quadratic
 from .ohno import verify_alternating_shift_sum, verify_shift_factorization
 from .products import circ, circ_bar, stuffle, stuffle_bar
 from .qlinalg import RelationMatrix
@@ -319,20 +319,19 @@ def _suite_ohno(args) -> list[dict]:
 def _suite_numeric(args) -> list[dict]:
     cap = args.pairs_up_to
     checks = []
-    for wa in range(1, cap):
-        for wb in range(wa, cap - wa + 1):
-            for mu, nu in index_pairs(wa, wb):
-                rel = kawashima_relation(mu, nu)
-                rep = verify_linear(rel, N=args.truncation, tol=args.tol)
-                checks.append(
-                    _check(
-                        rel.provenance,
-                        rep["pass"],
-                        {"value": rep["value"], "err": rep["err"], "N": rep["N"]},
-                    )
-                )
+    relations = [
+        kawashima_relation(mu, nu)
+        for wa in range(1, cap)
+        for wb in range(wa, cap - wa + 1)
+        for mu, nu in index_pairs(wa, wb)
+    ]
     # zeta((3)) = zeta((1,2)): the raised form of (2) - (1,1)
     euler = as_combination((2,)) - as_combination((1, 1))
+    expect_linear(relations + [euler], N=args.truncation)
+    for rel in relations:
+        rep = verify_linear(rel, N=args.truncation, tol=args.tol)
+        values = {"value": rep["value"], "err": rep["err"], "N": rep["N"]}
+        checks.append(_check(rel.provenance, rep["pass"], values))
     rep = verify_linear(euler, N=args.truncation, tol=1e-6 if args.tol is None else args.tol)
     checks.append(_check("euler:(3)=(1,2)", rep["pass"], {"value": rep["value"], "err": rep["err"]}))
     quad = quadratic_relation((1,), (1,), 2)

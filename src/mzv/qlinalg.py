@@ -34,8 +34,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-import numpy as np
-
 from .indices import Combination, _accumulate, all_indices, as_combination
 
 #: Three fixed 31-bit primes (each exceeds 2**20, as the certificates require).
@@ -148,6 +146,8 @@ class RelationMatrix:
         return best
 
     def _rank_mod(self, p: int) -> int:
+        import numpy as np
+
         m = np.zeros((self.nrows, self.ncols), dtype=np.int64)
         for i, (row, _) in enumerate(self._integer):
             m[i, list(row)] = [c % p for c in row.values()]

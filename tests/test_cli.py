@@ -321,3 +321,25 @@ def test_text_output_never_builds_json_terms(monkeypatch, capsys):
     code, out, _ = run(["apply", "refine", "(6)", "--output", "json"], capsys)
     assert code == 0 and len(calls) == 1
     assert len(json.loads(out)["terms"]) == 32
+
+
+def test_verify_numeric_evaluates_its_relations_in_one_pass(monkeypatch, capsys):
+    from mzv import numeric
+
+    passes = []
+    real = numeric._chain_pass
+
+    def spy(indices, N, strict):
+        passes.append(len(indices))
+        return real(indices, N, strict)
+
+    monkeypatch.setattr(numeric, "_chain_pass", spy)
+    monkeypatch.setattr(numeric, "_ahead", {})
+    numeric._chain_partials.cache_clear()
+    try:
+        code, out, _ = run(["verify", "numeric", "--pairs-up-to", "5", "--truncation", "100003"], capsys)
+    finally:
+        numeric._chain_partials.cache_clear()
+    assert code == 0 and out.endswith("28 checks, all passed\n")
+    # the 30 indices of the relations share one pass; the quadratic check's (2) gets its own
+    assert passes == [30, 1]

@@ -5,13 +5,17 @@ import numpy as np
 import pytest
 
 from mzv.indices import Combination, as_combination, idx
+from mzv import numeric
+from mzv.indices import raise_last
 from mzv.numeric import (
     _BLOCK,
     _UNIT,
     DEFAULT_TRUNCATION,
     MzvEstimate,
     _chain_partials,
+    _chain_pass,
     _exact_sum,
+    expect_linear,
     default_tolerance,
     verify_linear,
     verify_quadratic,
@@ -21,6 +25,7 @@ from mzv.numeric import (
 )
 from mzv.relations import (
     duality_relation,
+    index_pairs,
     kawashima_relation,
     quadratic_relation,
 )
@@ -215,3 +220,174 @@ def test_chain_partials_memory_does_not_grow_with_truncation():
         tracemalloc.stop()
     # the whole-array program held about 160 MB of live arrays at this N
     assert peak < 4 * 2**20, peak
+
+
+# The bincount exact sum and the per-index blockwise program that the shared
+# pass with ExtractVector replaced, kept as oracles.
+_ORACLE_LIFT = 54
+_ORACLE_UNIT = 1074 + _ORACLE_LIFT
+
+
+def _bincount_exact_sum(t):
+    # Veltkamp halves of the lifted terms added per biased exponent by
+    # np.bincount (exact: at most 2**15 of them need 41 bits), in units of
+    # 2**-_ORACLE_UNIT
+    if len(t) > 1 << 15:
+        raise ValueError("an exact block sum takes at most 2**15 terms")
+    u = t * 2.0**_ORACLE_LIFT
+    exponent = (u.view(np.int64) >> 52) & 0x7FF
+    if exponent.max(initial=0) > 2018:
+        raise ValueError("chain terms must be finite and below 2**942 to be summed exactly")
+    c = u * 134217729.0
+    hi = c - (c - u)
+    total = 0
+    for piece, step in ((hi, 1048), (u - hi, 1075)):
+        sums = np.bincount(exponent, piece)
+        e = np.flatnonzero(sums)
+        steps = np.ldexp(sums[e], step - e).astype(np.int64)
+        total += sum(n << k for n, k in zip(steps.tolist(), (e + 1074 - step).tolist()))
+    return total
+
+
+def _per_index_partials(mu, N, strict):
+    carry = [0.0] * (len(mu) - 1)
+    cut = N // 2 + 1
+    full = half = 0
+    for start in range(0, N + 1, _BLOCK):
+        x = np.arange(start + 1.0, min(start + _BLOCK, N + 1) + 1.0)
+        t = x ** float(-mu[0])
+        for j, part in enumerate(mu[1:]):
+            before = carry[j]
+            t[0] += before
+            prefix = np.cumsum(t)
+            carry[j] = prefix[-1]
+            if strict:
+                prefix = np.concatenate(([before], prefix[:-1]))
+            t = prefix * x ** float(-part)
+        if start < cut <= start + len(t):
+            half = full + _bincount_exact_sum(t[: cut - start])
+        full += _bincount_exact_sum(t)
+    return (full / (1 << _ORACLE_UNIT), half / (1 << _ORACLE_UNIT))
+
+
+def _numeric_suite_relations(cap):
+    # what `mzv verify numeric --pairs-up-to cap` hands to verify_linear
+    relations = [
+        kawashima_relation(mu, nu)
+        for wa in range(1, cap)
+        for wb in range(wa, cap - wa + 1)
+        for mu, nu in index_pairs(wa, wb)
+    ]
+    return relations + [as_combination((2,)) - as_combination((1, 1))]
+
+
+def _numeric_suite_indices(cap):
+    combos = [raise_last(getattr(r, "element", r)) for r in _numeric_suite_relations(cap)]
+    quad = quadratic_relation((1,), (1,), 2)
+    combos += [c for pair in quad.factors for c in pair] + [quad.rhs]
+    return sorted({mu for c in combos for mu, _ in c.terms()})
+
+
+NUMERIC_INDICES = _numeric_suite_indices(5)
+# (2,) and (2,3) end inside longer indices, (2,2,2) repeats a part, and the
+# rest split off at every depth
+PREFIX_SETS = [
+    [(2,), (2, 3), (2, 3, 2), (2, 3, 3), (2, 2, 2), (1, 2), (1, 1, 2), (3, 1, 2)],
+    [(1, 1, 1, 1, 2), (1, 1, 1, 2), (1, 1, 2), (1, 2)],
+    [(5,)],
+]
+PASS_TRUNCATIONS = [1000, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 2, 3 * _BLOCK + 7, 100003]
+
+
+def test_the_numeric_suite_has_31_distinct_indices():
+    assert len(NUMERIC_INDICES) == 31
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("N", PASS_TRUNCATIONS)
+def test_shared_pass_matches_the_per_index_oracle(N, strict):
+    for indices in [NUMERIC_INDICES] + PREFIX_SETS:
+        got = _chain_pass(indices, N, strict)
+        assert set(got) == set(indices)
+        for mu in indices:
+            assert got[mu] == _per_index_partials(mu, N, strict), (mu, N, strict)
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_a_batch_pass_equals_passes_of_one_index(strict):
+    N = 3 * _BLOCK + 7
+    indices = NUMERIC_INDICES + PREFIX_SETS[0]
+    alone = {mu: _chain_pass([mu], N, strict)[mu] for mu in indices}
+    assert _chain_pass(indices, N, strict) == alone
+    assert _chain_pass(indices[::-1] + indices[:3], N, strict) == alone
+    for mu in indices:
+        assert _chain_partials.__wrapped__(mu, N, strict) == alone[mu]
+
+
+def _adversarial_arrays():
+    # the generator of test_exact_sum_rounds_like_fsum
+    rng = np.random.default_rng(20070225)
+    for case in range(200):
+        n = int(rng.integers(0, _BLOCK + 1)) if case % 10 else 1 << 15
+        low = -1074 if case % 2 else int(rng.integers(-1074, 800))
+        t = np.ldexp(rng.standard_normal(n), rng.integers(low, 891, n))
+        if case % 3 == 0:
+            t[::5] = 0.0
+        if case % 4 == 0:
+            t[n // 2 :] = -t[: n - n // 2]
+            t[n // 2 :: 97] *= 1.0 + 2.0**-52
+        if case % 7 == 0:
+            t[::3] = np.ldexp(rng.standard_normal(len(t[::3])), -1074 + 52)
+        yield t
+    t = np.full(1 << 15, (2**52 - 1) * 5e-324)
+    t[0] = 5e-324
+    yield t  # mixed subnormals: 2**15 - 1 of the largest, one of the smallest
+    yield -t
+    yield np.array([2.0**941 * 1.5, 2.0**941 * 1.25, -(2.0**-1074), 2.0**-1022])
+    yield np.ldexp(np.ones(1 << 15), np.arange(1 << 15) % 2016 - 1074)
+
+
+def test_extract_vector_matches_the_bincount_oracle():
+    for case, t in enumerate(_adversarial_arrays()):
+        got, want = _exact_sum(t), _bincount_exact_sum(t)
+        assert got << _ORACLE_UNIT == want << _UNIT, case
+        assert got / (1 << _UNIT) == math.fsum(t), case
+
+
+def test_handed_in_relations_share_one_pass(monkeypatch):
+    N = 2 * _BLOCK - 2
+    relations = _numeric_suite_relations(5)
+    _chain_partials.cache_clear()
+    alone = [verify_linear(rel, N) for rel in relations]
+    passes = []
+
+    def spy(indices, n, strict):
+        passes.append(sorted(indices))
+        return _chain_pass(indices, n, strict)
+
+    monkeypatch.setattr(numeric, "_ahead", {})
+    monkeypatch.setattr(numeric, "_chain_pass", spy)
+    _chain_partials.cache_clear()
+    try:
+        expect_linear(relations, N)
+        assert [verify_linear(rel, N) for rel in relations] == alone
+        assert len(passes) == 1 and len(passes[0]) == 30
+        assert numeric._ahead == {(N, True): {}}
+        # an index nobody handed in gets a pass of its own
+        zeta_strict(idx(7), N)
+        assert passes[1:] == [[(7,)]]
+    finally:
+        _chain_partials.cache_clear()
+
+
+def test_a_batch_pass_memory_does_not_grow_with_truncation():
+    peaks = []
+    for N in (10**5, 4 * 10**6):
+        tracemalloc.start()
+        try:
+            _chain_pass(NUMERIC_INDICES, N, True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 4 * 2**20, peaks
+    assert peaks[1] < peaks[0] + 2**18, peaks

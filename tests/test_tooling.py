@@ -29,3 +29,13 @@ def test_benchmark_self_check():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "self-check ok" in proc.stdout.splitlines()
+
+
+def test_import_does_not_load_numpy():
+    # numpy is imported inside the numeric kernels and the modular rank only,
+    # so commands that use neither start without it
+    code = "import sys, mzv, mzv.cli; assert 'numpy' not in sys.modules, sorted(sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=SRC.parent, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -53,6 +53,8 @@ from .relations import (
 )
 
 HARD_WEIGHT_CAP = 20
+#: the largest dense int64 matrix ``rank-table`` lets ``modular_rank`` allocate
+MODULAR_MATRIX_BYTES = 2**31
 
 OPS = {
     "tau": reverse,
@@ -191,17 +193,32 @@ def cmd_product(args) -> int:
     return _emit_result(payload, PRODUCTS[args.kind](a, b), args.output)
 
 
+def _stuffle_shape(k: int) -> tuple[int, int]:
+    """Rows and columns of ``stuffle_rows(k)``: pairs of indices of weights ``a <= k - a``."""
+    half = 2 ** (k // 2 - 1)  # indices of weight k / 2
+    same_weight = half * (half + 1) // 2 if k % 2 == 0 else 0
+    return (k - 1) // 2 * 2 ** (k - 2) + same_weight, 2 ** (k - 1)
+
+
 def cmd_rank_table(args) -> int:
     if not 2 <= args.k_min <= args.k_max <= HARD_WEIGHT_CAP:
         print("mzv: need 2 <= k-min <= k-max <= %d" % HARD_WEIGHT_CAP, file=sys.stderr)
         return 2
+    if args.k_max > args.exact_up_to:
+        # the stuffle matrix is the larger one, and its dense size grows with k
+        shape = _stuffle_shape(args.k_max)
+        size = 8 * shape[0] * shape[1]
+        if size > MODULAR_MATRIX_BYTES:
+            raise ValueError("rank-table: the modular rank at weight %d needs a %d x %d int64 "
+                             "matrix, %d bytes, above the limit %d"
+                             % (args.k_max, *shape, size, MODULAR_MATRIX_BYTES))
     rows = []
     for k in range(args.k_min, args.k_max + 1):
         exact = k <= args.exact_up_to
         # g = refine . signed is a bijection, so the raw stuffle rows have the
-        # rank of the Kawashima rows
-        span = RelationMatrix(k, stuffle_rows(k))
-        shift_span = RelationMatrix.from_relations(ohno_relations(k))
+        # rank of the Kawashima rows; sparsest first keeps the fill-in small
+        span = RelationMatrix(k, sorted(stuffle_rows(k), key=len))
+        shift_span = RelationMatrix(k, sorted((r.element for r in ohno_relations(k)), key=len))
         rank = span.rank() if exact else span.modular_rank()
         shift_rank = shift_span.rank() if exact else shift_span.modular_rank()
         rows.append(

@@ -5,12 +5,19 @@ over the column basis of all weight-``k`` indices (sorted by parts).  Each row
 is kept once as a sparse integer row ``den * row`` with ``den`` the lcm of its
 denominators, and both eliminations below read only that form.
 
-One fraction-free elimination over the integers serves both exact questions:
-the rows are reduced in input order, each against the echelon rows before it,
-with the smallest remaining column as pivot.  The rank is the number of
-echelon rows.  Echelon row ``t`` keeps its reduced integer row ``r_t``, its
-source row, the integer multiples ``M_t`` of earlier echelon rows subtracted
-from it and a positive scale ``D_t``, with the invariant
+Both follow one pivot rule: the rows are taken in input order, each is
+reduced against the pivot rows before it, and a row that stays non-zero
+becomes a pivot row on its smallest non-zero column.  No row is swapped and
+no column is scanned for a pivot, so the cost follows the row order while the
+rank does not; ``rank-table`` hands its rows in sparsest first, which keeps
+the fill-in and the integer entries small.  Membership certificates depend on
+the order, so nothing here reorders rows.
+
+Over the integers the elimination is fraction-free and serves both exact
+questions.  The rank is the number of echelon rows.  Echelon row ``t`` keeps
+its reduced integer row ``r_t``, its source row, the integer multiples
+``M_t`` of earlier echelon rows subtracted from it and a positive scale
+``D_t``, with the invariant
 
     D_t * den * source = r_t + sum(M_t[s] * r_s)
 
@@ -19,14 +26,12 @@ membership query reduces ``den_x * x`` the same way and rebuilds integer
 coefficients over the source rows by back-substitution; every positive answer
 is re-checked by multiplication before being returned.
 
-``modular_rank`` is the fast certified-lower-bound path: eliminate the integer
-rows modulo a few fixed 31-bit primes with vectorised integer arithmetic (all
-intermediate products stay below 2**62) and return the best rank seen.  Every
-row at or below the pivot row is zero left of the pivot column, so each step
-updates only the rows that are non-zero in the pivot column, and only in the
-columns from the pivot rightwards where the pivot row is non-zero.  An integer
-matrix's rank mod p never exceeds its rank over Q, so the maximum over primes
-is a true lower bound.
+``modular_rank`` is the fast certified-lower-bound path: the same elimination
+of the integer rows modulo a few fixed 31-bit primes on a dense int64 matrix
+(all intermediate products stay below 2**62), where each pivot row clears its
+column from the later rows that are non-zero there, only in its own non-zero
+columns.  An integer matrix's rank mod p never exceeds its rank over Q, so
+the best rank over the primes is a true lower bound.
 """
 
 from __future__ import annotations
@@ -152,22 +157,16 @@ class RelationMatrix:
         for i, (row, _) in enumerate(self._integer):
             m[i, list(row)] = [c % p for c in row.values()]
         rank = 0
-        for col in range(self.ncols):
-            if rank == self.nrows:
-                break
-            hits = np.flatnonzero(m[rank:, col])
-            if hits.size == 0:
-                continue
-            pivot = rank + int(hits[0])
-            if pivot != rank:
-                m[[rank, pivot], col:] = m[[pivot, rank], col:]
-            below = rank + hits[1:]
-            if below.size:
-                nz = col + np.flatnonzero(m[rank, col:])
-                factor = m[below, col] * pow(int(m[rank, col]), -1, p) % p
-                block = np.ix_(below, nz)
-                m[block] = (m[block] - factor[:, None] * m[rank, nz]) % p
-            rank += 1
+        for i in range(self.nrows):
+            nz = np.flatnonzero(m[i])
+            if nz.size:
+                col = nz[0]
+                below = i + 1 + np.flatnonzero(m[i + 1 :, col])
+                if below.size:
+                    factor = m[below, col] * pow(int(m[i, col]), -1, p) % p
+                    block = np.ix_(below, nz)
+                    m[block] = (m[block] - factor[:, None] * m[i, nz]) % p
+                rank += 1
         return rank
 
 

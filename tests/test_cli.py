@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from mzv import cli
+from mzv.indices import all_indices
+from mzv.relations import stuffle_rows
 
 
 def run(argv, capsys):
@@ -290,15 +292,36 @@ def test_bad_env_value(monkeypatch, capsys):
     ],
 )
 def test_apply_and_product_refuse_huge_expansions_up_front(argv):
+    proc = _run_with_timeout(argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("mzv: ") and "terms, above the limit 524288" in proc.stderr
+
+
+def _run_with_timeout(argv):
     # in a subprocess with a timeout, so that a missing guard fails instead of hanging
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(cli.__file__).resolve().parents[1])] + sys.path))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "mzv.cli", *argv],
         capture_output=True, text=True, timeout=10, env=env,
     )
+
+
+@pytest.mark.parametrize("k_min", ["15", "2"])
+def test_rank_table_refuses_a_modular_matrix_above_the_memory_limit_up_front(k_min):
+    # from --k-min 2 the refusal must come before any weight is ranked
+    proc = _run_with_timeout(["rank-table", "--k-min", k_min, "--k-max", "15"])
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith("mzv: ") and "terms, above the limit 524288" in proc.stderr
+    assert proc.stderr == (
+        "mzv: rank-table: the modular rank at weight 15 needs a 57344 x 16384 int64 matrix, "
+        "7516192768 bytes, above the limit 2147483648\n")
+
+
+def test_the_modular_memory_limit_admits_weight_14_and_counts_the_rows_exactly():
+    for k in range(2, 11):
+        assert cli._stuffle_shape(k) == (len(stuffle_rows(k)), len(all_indices(k)))
+    assert cli._stuffle_shape(14) == (26656, 8192)
+    assert 8 * 26656 * 8192 <= cli.MODULAR_MATRIX_BYTES < 8 * 57344 * 16384
 
 
 def test_cheap_applications_of_long_indices_still_run(capsys):

@@ -12,11 +12,16 @@ modular at weight 9) across the move to the raw stuffle rows.  The two
 after them, ``rank-table --k-min 10 --k-max 10 --exact-up-to 10`` as text and
 JSON, were recorded while exact ranks still came from the ``Fraction``
 echelon; they pin the weight-10 exact ranks across the move to integer
-arithmetic.  The last case, ``verify numeric --pairs-up-to 4 --truncation
-100003`` as JSON, was recorded while the chain sums still ran over whole
-arrays and were totalled by ``math.fsum``; it pins every value and error bar,
-to the last bit, across the move to blockwise sums (100003 is no multiple of
-the block size).
+arithmetic.  The case after those, ``verify numeric --pairs-up-to 4
+--truncation 100003`` as JSON, was recorded while the chain sums still ran
+over whole arrays and were totalled by ``math.fsum``; it pins every value and
+error bar, to the last bit, across the move to blockwise sums (100003 is no
+multiple of the block size).  The last two cases, ``rank-table --k-min 11
+--k-max 11`` as text (modular) and with ``--exact-up-to 11`` as JSON (exact
+838 and 830), were recorded while the modular rank still eliminated column
+by column and ``rank-table`` took its rows in generation order; they pin
+both rank modes at weight 11 across the move to a row-driven elimination of
+rows sorted sparsest first.
 """
 
 import json

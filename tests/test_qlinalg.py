@@ -283,6 +283,17 @@ def _masked_rank_mod(rows, ncols, p):
     return rank
 
 
+def _assert_rank_mod_matches_the_oracle(weight, rows, primes=MODULAR_PRIMES):
+    """The row-driven ``_rank_mod`` against the column-driven oracle, per prime,
+    with the rows in input, sparsest-first and reversed order."""
+    for order in (list, lambda rows: sorted(rows, key=len), lambda rows: rows[::-1]):
+        matrix = RelationMatrix(weight, order(rows))
+        colpos = {mu: j for j, mu in enumerate(matrix.columns)}
+        sparse = [{colpos[mu]: c for mu, c in row._terms.items()} for row in matrix.rows]
+        for p in primes:
+            assert matrix._rank_mod(p) == _masked_rank_mod(sparse, matrix.ncols, p)
+
+
 def _assert_matches_the_oracles(weight, rows, targets):
     matrix = RelationMatrix(weight, rows)
     colpos = {mu: j for j, mu in enumerate(matrix.columns)}
@@ -297,8 +308,7 @@ def _assert_matches_the_oracles(weight, rows, targets):
         cert = matrix.member(x)
         assert cert == _fraction_certificate(matrix.nrows, echelon, sparse(x))
         assert cert is None or all(type(c) is Fraction for c in cert)
-    for p in MODULAR_PRIMES:
-        assert matrix.modular_rank(primes=(p,)) == _masked_rank_mod(fraction_rows, matrix.ncols, p)
+    _assert_rank_mod_matches_the_oracle(weight, rows)
 
 
 def _span_targets(rng, columns, rows, count=4):
@@ -327,6 +337,10 @@ def test_kawashima_rows_and_duality_certificates_match_the_fraction_elimination(
     _assert_matches_the_oracles(k, rows, [duality_element(mu) for mu in all_indices(k)])
 
 
+def test_rank_mod_of_the_weight_8_kawashima_rows_matches_the_oracle():
+    _assert_rank_mod_matches_the_oracle(8, [rel.element for rel in kawashima_basis(8)])
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_random_rational_rows_match_the_fraction_elimination(seed):
     # sparse rows with negative and non-unit entries, some denominators up to
@@ -347,3 +361,32 @@ def test_random_rational_rows_match_the_fraction_elimination(seed):
             row = row + Fraction(num, den) * Combination.term(mu)
         rows.append(row)
     _assert_matches_the_oracles(weight, rows, _span_targets(rng, columns, rows))
+
+
+@pytest.mark.parametrize("p", MODULAR_PRIMES)
+@pytest.mark.parametrize("seed", range(6))
+def test_rank_mod_matches_the_oracle_on_rows_with_zeros_duplicates_and_multiples_of_p(seed, p):
+    rng = random.Random(2000 + seed)
+    weight = rng.choice((4, 5, 6))
+    columns = all_indices(weight)
+    rows = [Combination.zero()]
+    for _ in range(rng.randint(3, 2 * len(columns))):
+        roll = rng.random()
+        if roll < 0.15:
+            rows.append(rng.choice(rows))
+        elif roll < 0.25:
+            rows.append(Combination.zero())
+        else:
+            row = Combination.zero()
+            for mu in rng.sample(columns, rng.randint(1, 5)):
+                num = rng.choice((-1, 1)) * rng.randint(1, 9) * rng.choice((1, 1, p))
+                row = row + Fraction(num, rng.choice((1, 2, 3, 7))) * Combination.term(mu)
+            rows.append(row)
+    rng.shuffle(rows)
+    _assert_rank_mod_matches_the_oracle(weight, rows, primes=(p,))
+
+
+@pytest.mark.parametrize("k", range(2, 10))
+def test_rank_does_not_depend_on_the_row_order(k):
+    rows = stuffle_rows(k)
+    assert RelationMatrix(k, sorted(rows, key=len)).rank() == RelationMatrix(k, rows).rank()

@@ -1,23 +1,25 @@
-"""Floating-point evaluation of zeta values by truncated chain sums.
+"""Evaluation of zeta values: certified by default, or by truncated chain sums.
 
-Each index is evaluated by a vectorised dynamic program over the chain
-variables up to a truncation bound ``N`` (default one million): level ``j``
-multiplies the running prefix sums of level ``j-1`` by ``1/(n+1)**part_j``,
-strictly or weakly depending on the sum type.  One pass over blocks of
-``2**13`` values of ``n``, whose memory does not grow with ``N``, evaluates
-a set of indices: per block it computes each distinct part's power once and
-walks the trie of the indices' prefixes depth first, so each prefix's level
-is computed once.  Final levels are totalled exactly by ExtractVector (Rump,
-Ogita and Oishi, "Accurate floating-point summation part I", SIAM J. Sci.
-Comput. 31 (2008) 189-224) and rounded once, ties to even.  Estimates carry
-a doubling error bar, ``err = 2 * |estimate(N) - estimate(N // 2)|``, which
-is what the relation verdicts compare against: a relation passes when the
-accumulated value does not exceed ``max(tol, err)``.
+The certified path (``N=None``) is the Hölder convolution at 1/2 (Borwein,
+Bradley, Broadhurst and Lisoněk, "Special values of multiple polylogarithms",
+Trans. Amer. Math. Soc. 353 (2001) 907-941).  Cut at any position, the x0/x1
+word of an index (x1 at position 1 and after each mark of its subset code)
+splits into the word of an index, nearer 0, and that of another, nearer 1
+once reversed with x0 and x1 swapped; ``zeta(mu)`` is the sum over the cuts
+of the products of their ``Li(1/2) = sum over n_1 < .. < n_r of 2**-n_r /
+prod n_j**part_j``.  These series run in fixed point, ``2**-bits`` units in
+Python integers, memoised per index: each floor division adds a unit to a
+counted error, and the tail past ``M`` terms is bounded (:func:`_half_series`).
+Values and bounds add up exactly, and verdicts compare those exact numbers: a
+relation passes when ``|value| <= max(tol, bound)``, ``tol`` 1e-30 by default.
+``err`` is the bound plus the float rounding of ``value``, rounded up.
 
-The error bar is floored at a few machine epsilons of the accumulated
-magnitude: a truncated double-precision sum is never accurate beyond that, so
-reporting a smaller bar (down to 0.0 when the two partial sums round to the
-same float) would overstate what the evaluation knows.
+The truncated path (an integer ``N``) stays as the test oracle: blockwise
+double-precision chain sums up to ``N`` (:func:`_chain_pass`), each total
+exact and rounded once (:func:`_exact_sum`), with the doubling heuristic
+``2 * |estimate(N) - estimate(N // 2)|`` as error bar and verdicts on
+``max(tol, err)``; the bar is floored at a few machine epsilons of the
+accumulated magnitude, all that a double-precision sum can know.
 
 Only indices whose last part is at least 2 converge; anything else raises.
 """
@@ -26,21 +28,26 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 
-from .indices import Combination, MultiIndex, as_combination, format_index, raise_last
+from .indices import MultiIndex, _mask, _unmask, as_combination, format_index, raise_last
 
 DEFAULT_TRUNCATION = 10**6
+#: Fixed-point bits of the certified 1/2-series, and the default tolerance of its verdicts.
+CERTIFIED_BITS, CERTIFIED_TOL = 120, 1e-30
 
 
 @dataclass(frozen=True)
 class MzvEstimate:
-    """A truncated evaluation with its doubling error bar."""
+    """A value and its error: a proven bound after ``truncation`` series terms, with the
+    exact ``(value, bound)`` in ``exact``, or the doubling bar of sums truncated at ``N``."""
 
     value: float
     err: float
     truncation: int
+    exact: tuple | None = field(default=None, repr=False)
 
     def __float__(self) -> float:
         return self.value
@@ -123,47 +130,25 @@ def _chain_pass(indices, N: int, strict: bool) -> dict:
     return {mu: (f / (1 << _UNIT), h / (1 << _UNIT)) for mu, (f, h) in sums.items()}
 
 
-#: ``{(N, strict): {index: None, or its partials once the shared pass ran}}``
-_ahead: dict = {}
-
-
-def expect_linear(relations, N: int = DEFAULT_TRUNCATION) -> None:
-    """Hand in the relations :func:`verify_linear` is about to check.
-
-    The first chain sum one of their indices needs evaluates all of them in
-    one shared pass; the later ones read its results.  A new hand-in drops
-    what an earlier one left unread.
-    """
-    _ahead.clear()
-    ahead = _ahead[N, True] = {}
-    for relation in relations:
-        for mu, _ in raise_last(as_combination(getattr(relation, "element", relation))).terms():
-            if mu[-1] >= 2:  # phi raises to the divergent (1), refused when evaluated
-                ahead.setdefault(mu, None)
-
-
 @lru_cache(maxsize=256)
 def _chain_partials(mu: MultiIndex, N: int, strict: bool) -> tuple:
-    """(sum to N, sum to N//2) of a bare index, from the shared pass if handed in."""
-    ahead = _ahead.get((N, strict), {})
-    if mu not in ahead:
-        return _chain_pass([mu], N, strict)[mu]
-    if ahead[mu] is None:
-        ahead.update(_chain_pass([m for m, v in ahead.items() if v is None], N, strict))
-    return ahead.pop(mu)
+    """(sum to N, sum to N//2) of a bare index."""
+    return _chain_pass([mu], N, strict)[mu]
+
+
+def _convergent(mu: MultiIndex) -> MultiIndex:
+    if not mu or mu[-1] < 2:
+        raise ValueError("divergent index %s (last part must be >= 2)" % format_index(mu))
+    return mu
 
 
 def _evaluate(x, N: int, strict: bool) -> MzvEstimate:
     x = as_combination(x)
     if N < 2:
         raise ValueError("the truncation bound must be >= 2")
-    full = 0.0
-    half = 0.0
-    scale = 0.0
+    full = half = scale = 0.0
     for mu, c in x.terms():
-        if not mu or mu[-1] < 2:
-            raise ValueError("divergent index %s (last part must be >= 2)" % format_index(mu))
-        f, h = _chain_partials(mu, N, strict)
+        f, h = _chain_partials(_convergent(mu), N, strict)
         full += float(c) * f
         half += float(c) * h
         scale += abs(float(c)) * abs(f)
@@ -171,9 +156,67 @@ def _evaluate(x, N: int, strict: bool) -> MzvEstimate:
     return MzvEstimate(full, max(2.0 * abs(full - half), noise), N)
 
 
-def zeta_strict(x, N: int = DEFAULT_TRUNCATION) -> MzvEstimate:
-    """Truncated strict-chain zeta of a combination (the plain MZV)."""
-    return _evaluate(x, N, strict=True)
+@lru_cache(maxsize=1 << 12)
+def _half_series(nu: MultiIndex, bits: int) -> tuple:
+    """``(v, e, M)`` with ``0 <= 2**bits * Li_nu(1/2) - v <= e``, from ``M`` terms.
+
+    ``s[j]`` floors ``2**bits`` times the sum over the first ``j`` parts, and
+    ``e[j]`` bounds what its floors lost.  The term at ``n`` is at most
+    ``t(n) = 2**-n * H(n-1)**(r-1) / n``, and ``t(n+1) / t(n) < 0.65`` for
+    ``n > 4 (r-1)``, so the tail past ``M >= max(8, 4r)`` terms is below
+    ``2**-M * H(M)**(r-1)``, where ``H(M) < M.bit_length()``.
+    """
+    r = len(nu)
+    if not r:
+        return 1 << bits, 0, 0
+    M = max(8, 4 * r)
+    while M.bit_length() ** (r - 1) << bits > 1 << M:
+        M += 1
+    s, e = [1 << bits] + [0] * (r - 1), [0] * r
+    v, lost = 0, 1  # the tail
+    for n in range(1, M + 1):
+        d = n ** nu[-1] << n
+        v += s[-1] // d
+        lost += -(-e[-1] // d) + 1
+        for j in range(r - 1, 0, -1):
+            q = n ** nu[j - 1]
+            s[j] += s[j - 1] // q
+            e[j] += -(-e[j - 1] // q) + 1
+    return v, lost, M
+
+
+@lru_cache(maxsize=1 << 10)
+def _holder(mu: MultiIndex, bits: int) -> tuple:
+    """``(V, E, M)`` with ``|4**bits * zeta(mu) - V| <= E``: a sum over the cuts of its word."""
+    m, word = mu.weight, _mask(mu) << 1 | 1  # bit i: the letter i + 1 from 0, x1 when set
+    V = E = M = 0
+    for cut in range(m + 1):
+        top = m - cut  # the letters above the cut, reversed and complemented, and those below
+        dual = int(format(word >> cut, "b").zfill(top)[::-1], 2) ^ ((1 << top) - 1)
+        a, ea, ma = _half_series(_unmask(top, dual >> 1), bits)
+        b, eb, mb = _half_series(_unmask(cut, (word & ((1 << cut) - 1)) >> 1), bits)
+        V, E, M = V + a * b, E + a * eb + b * ea + ea * eb, max(M, ma, mb)
+    return V, E, M
+
+
+def _certified(x, bits: int) -> MzvEstimate:
+    V = E = M = 0
+    for mu, c in as_combination(x).terms():
+        v, e, m = _holder(_convergent(mu), bits)
+        V, E, M = V + c * v, E + abs(c) * e, max(M, m)
+    return _rounded(Fraction(V, 1 << 2 * bits), Fraction(E, 1 << 2 * bits), M)
+
+
+def _rounded(value: Fraction, bound: Fraction, terms: int) -> MzvEstimate:
+    f = float(value)
+    err = bound + abs(value - Fraction(f))  # float() rounds to nearest: round err up
+    up = float(err)
+    return MzvEstimate(f, up if up >= err else math.nextafter(up, math.inf), terms, (value, bound))
+
+
+def zeta_strict(x, N: int | None = None, bits: int = CERTIFIED_BITS) -> MzvEstimate:
+    """Strict-chain zeta of a combination (the plain MZV): certified, or truncated at ``N``."""
+    return _certified(x, bits) if N is None else _evaluate(x, N, strict=True)
 
 
 def zeta_bar(x, N: int = DEFAULT_TRUNCATION) -> MzvEstimate:
@@ -181,53 +224,61 @@ def zeta_bar(x, N: int = DEFAULT_TRUNCATION) -> MzvEstimate:
     return _evaluate(x, N, strict=False)
 
 
-def zeta_plus(x, N: int = DEFAULT_TRUNCATION) -> MzvEstimate:
+def zeta_plus(x, N: int | None = None) -> MzvEstimate:
     """Raise the last part of every term, then evaluate strictly."""
     return zeta_strict(raise_last(as_combination(x)), N)
 
 
 def default_tolerance(max_length: int) -> float:
-    """1e-6 for short indices (length <= 2), 1e-4 beyond."""
+    """1e-6 for short indices (length <= 2), 1e-4 beyond: the truncated path's tolerances."""
     return 1e-6 if max_length <= 2 else 1e-4
 
 
-def verify_linear(relation, N: int = DEFAULT_TRUNCATION, tol: float | None = None) -> dict:
+def verify_linear(relation, N: int | None = None, tol: float | None = None) -> dict:
     """Evaluate a linear relation's element under the raised functional.
 
     Accepts a relation object (with ``element`` and ``provenance``) or a bare
-    combination.  The verdict is ``abs(value) <= max(tol, err)``.
+    combination.  The verdict is ``abs(value) <= max(tol, err)``, on the
+    exact value and bound on the certified path (``N=None``).
     """
     element = getattr(relation, "element", relation)
     tag = getattr(relation, "provenance", "element")
     raised = raise_last(as_combination(element))
     if tol is None:
-        tol = default_tolerance(raised.max_length())
-    est = zeta_strict(raised, N) if raised else MzvEstimate(0.0, 0.0, N)
-    return _report(tag, N, est.value, est.err, tol)
+        tol = CERTIFIED_TOL if N is None else default_tolerance(raised.max_length())
+    return _report(tag, zeta_strict(raised, N), tol)
 
 
-def verify_quadratic(relation, N: int = DEFAULT_TRUNCATION, tol: float = 1e-4) -> dict:
+def verify_quadratic(relation, N: int | None = None, tol: float | None = None) -> dict:
     """Evaluate a product relation: sum of zeta*zeta factors minus the rhs.
 
-    Error bars propagate through the products
-    (``|a| eb + |b| ea + ea eb`` per factor pair) and add up.  Degenerate
-    degree-1 inputs (linear relations, no factor pairs) are routed through
-    :func:`verify_linear`.
+    Error bounds propagate through the products (``|a| eb + |b| ea + ea eb``
+    per factor pair) and add up, exactly on the certified path; ``tol`` is
+    1e-4 for truncated sums.  Degree-1 inputs (linear relations) are routed
+    through :func:`verify_linear`.
     """
+    if tol is None:
+        tol = CERTIFIED_TOL if N is None else 1e-4
     if hasattr(relation, "element"):
         return verify_linear(relation, N, tol)
-    total = 0.0
-    err = 0.0
+    total = err = terms = 0
     for left, right in relation.factors:
-        a = zeta_strict(left, N)
-        b = zeta_strict(right, N)
-        total += a.value * b.value
-        err += abs(a.value) * b.err + abs(b.value) * a.err + a.err * b.err
+        a, b = zeta_strict(left, N), zeta_strict(right, N)
+        (av, ae), (bv, be) = _exact(a), _exact(b)
+        total += av * bv
+        err += abs(av) * be + abs(bv) * ae + ae * be
+        terms = max(terms, a.truncation, b.truncation)
     rhs = zeta_strict(relation.rhs, N)
-    total -= rhs.value
-    return _report(relation.provenance, N, total, err + rhs.err, tol)
+    total, err, terms = total - _exact(rhs)[0], err + _exact(rhs)[1], max(terms, rhs.truncation)
+    est = _rounded(total, err, terms) if N is None else MzvEstimate(total, err, N)
+    return _report(relation.provenance, est, tol)
 
 
-def _report(tag, N: int, value: float, err: float, tol: float) -> dict:
-    return {"relation": tag, "N": N, "value": value, "err": err, "tol": tol,
-            "pass": abs(value) <= max(tol, err)}
+def _exact(est: MzvEstimate) -> tuple:
+    return est.exact or (est.value, est.err)
+
+
+def _report(tag, est: MzvEstimate, tol: float) -> dict:
+    value, bound = _exact(est)
+    return {"relation": tag, "N": est.truncation, "value": est.value, "err": est.err,
+            "tol": tol, "pass": abs(value) <= max(tol, bound)}

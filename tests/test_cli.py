@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -346,23 +347,44 @@ def test_text_output_never_builds_json_terms(monkeypatch, capsys):
     assert len(json.loads(out)["terms"]) == 32
 
 
-def test_verify_numeric_evaluates_its_relations_in_one_pass(monkeypatch, capsys):
+def test_verify_numeric_runs_no_truncated_sums(monkeypatch, capsys):
+    # the suite runs the certified evaluator; --truncation is validated but not read
     from mzv import numeric
 
-    passes = []
-    real = numeric._chain_pass
+    def no_pass(*args):
+        raise AssertionError("a truncated chain pass ran")
 
-    def spy(indices, N, strict):
-        passes.append(len(indices))
-        return real(indices, N, strict)
-
-    monkeypatch.setattr(numeric, "_chain_pass", spy)
-    monkeypatch.setattr(numeric, "_ahead", {})
+    monkeypatch.setattr(numeric, "_chain_pass", no_pass)
     numeric._chain_partials.cache_clear()
-    try:
-        code, out, _ = run(["verify", "numeric", "--pairs-up-to", "5", "--truncation", "100003"], capsys)
-    finally:
-        numeric._chain_partials.cache_clear()
+    code, out, _ = run(["verify", "numeric", "--pairs-up-to", "5", "--truncation", "100003"], capsys)
     assert code == 0 and out.endswith("28 checks, all passed\n")
-    # the 30 indices of the relations share one pass; the quadratic check's (2) gets its own
-    assert passes == [30, 1]
+    assert numeric._chain_partials.cache_info().currsize == 0
+
+
+def test_verify_numeric_reports_a_planted_false_relation(monkeypatch, capsys):
+    from fractions import Fraction
+
+    from mzv.indices import Combination
+    from mzv.relations import LinearRelation
+
+    real = cli.kawashima_relation
+
+    def planted(mu, nu):
+        rel = real(mu, nu)
+        if (mu, nu) != ((1, 1), (1, 1)):
+            return rel
+        element = rel.element + Combination.term((3, 1), Fraction(1, 500))
+        return LinearRelation(element, rel.provenance + "+1/500*(3,1)", rel.weight)
+
+    monkeypatch.setattr(cli, "kawashima_relation", planted)
+    code, out, _ = run(["verify", "numeric", "--pairs-up-to", "4"], capsys)
+    assert code == 1
+    fails = [line for line in out.splitlines() if not line.startswith("ok  ")]
+    assert fails[-1] == "12 checks, FAILURES"
+    # the line names the relation, its value, its bound and the precision used
+    assert re.fullmatch(r"FAIL kawashima\(\(1,1\),\(1,1\)\)\+1/500\*\(3,1\): value 1\.423132e-03, "
+                        r"bound \d\.\d\de-\d\d \(120 bits, \d+ series terms\)", fails[0]), fails
+    assert len(fails) == 2
+    code, out, _ = run(["verify", "numeric", "--pairs-up-to", "4", "--output", "json"], capsys)
+    failed = [c for c in json.loads(out)["checks"] if not c["pass"]]
+    assert code == 1 and [sorted(c) for c in failed] == [["N", "err", "name", "pass", "value"]]

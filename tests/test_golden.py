@@ -13,10 +13,13 @@ after them, ``rank-table --k-min 10 --k-max 10 --exact-up-to 10`` as text and
 JSON, were recorded while exact ranks still came from the ``Fraction``
 echelon; they pin the weight-10 exact ranks across the move to integer
 arithmetic.  The case after those, ``verify numeric --pairs-up-to 4
---truncation 100003`` as JSON, was recorded while the chain sums still ran
-over whole arrays and were totalled by ``math.fsum``; it pins every value and
-error bar, to the last bit, across the move to blockwise sums (100003 is no
-multiple of the block size).  The last two cases, ``rank-table --k-min 11
+--truncation 100003`` as JSON, is the one case re-recorded since: it held the
+truncated sums' values and doubling bars until ``verify numeric`` moved to
+the certified Hölder-convolution evaluator, and now holds its values and
+proven bounds, with ``N`` the most terms of a 1/2-series (the flag is no
+longer read).  The truncated oracle still prints the old recording byte for
+byte, and every new value lies within the old value +- the old bar (the
+last test below).  The last two cases, ``rank-table --k-min 11
 --k-max 11`` as text (modular) and with ``--exact-up-to 11`` as JSON (exact
 838 and 830), were recorded while the modular rank still eliminated column
 by column and ``rank-table`` took its rows in generation order; they pin
@@ -24,12 +27,16 @@ both rank modes at weight 11 across the move to a row-driven elimination of
 rows sorted sparsest first.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from mzv import cli
+from mzv.indices import as_combination
+from mzv.numeric import verify_linear, verify_quadratic
+from mzv.relations import index_pairs, kawashima_relation, quadratic_relation
 
 CASES = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text())
 
@@ -45,3 +52,42 @@ def test_cases_cover_every_operator_and_product():
     seen = {(c["argv"][0], c["argv"][1]) for c in CASES}
     assert {("apply", op) for op in cli.OPS} <= seen
     assert {("product", kind) for kind in cli.PRODUCTS} <= seen
+
+
+NUMERIC_JSON = ["verify", "numeric", "--pairs-up-to", "4", "--truncation", "100003",
+                "--output", "json"]
+#: sha-256 of the stdout recorded for NUMERIC_JSON while the suite ran the truncated sums
+TRUNCATED_NUMERIC_SHA256 = "3505e04f8b1fe136c7d45e9789cb3a45a1147d297b67bddc8cefa40999574598"
+
+
+def _truncated_numeric_stdout(N=100003):
+    # the suite as it was: truncated sums, tolerances 1e-6/1e-4 by depth, 1e-6 and 1e-4
+    checks = []
+    for wa in range(1, 4):
+        for wb in range(wa, 5 - wa):
+            for mu, nu in index_pairs(wa, wb):
+                rep = verify_linear(kawashima_relation(mu, nu), N)
+                checks.append({"name": rep["relation"], "pass": rep["pass"],
+                               "value": rep["value"], "err": rep["err"], "N": N})
+    euler = as_combination((2,)) - as_combination((1, 1))
+    for name, rep in (("euler:(3)=(1,2)", verify_linear(euler, N, 1e-6)),
+                      ("quadratic((1)|(1)|2)",
+                       verify_quadratic(quadratic_relation((1,), (1,), 2), N, 1e-4))):
+        checks.append({"name": name, "pass": rep["pass"], "value": rep["value"],
+                       "err": rep["err"]})
+    payload = {"command": "verify", "suite": "numeric", "checks": checks,
+               "pass": all(c["pass"] for c in checks)}
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_certified_numeric_values_lie_within_the_truncated_bars():
+    # the truncated oracle still prints the old recording byte for byte, and
+    # every certified value recorded since lies within its value +- err
+    old = _truncated_numeric_stdout()
+    assert hashlib.sha256(old.encode()).hexdigest() == TRUNCATED_NUMERIC_SHA256
+    (case,) = [c for c in CASES if c["argv"] == NUMERIC_JSON]
+    new = json.loads(case["stdout"])["checks"]
+    old = json.loads(old)["checks"]
+    assert [c["name"] for c in new] == [c["name"] for c in old]
+    for before, after in zip(old, new):
+        assert abs(after["value"] - before["value"]) <= before["err"], (before, after)

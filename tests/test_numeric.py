@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from mzv.numeric import (
     _chain_partials,
     _chain_pass,
     _exact_sum,
-    expect_linear,
     default_tolerance,
     verify_linear,
     verify_quadratic,
@@ -354,32 +354,6 @@ def test_extract_vector_matches_the_bincount_oracle():
         assert got / (1 << _UNIT) == math.fsum(t), case
 
 
-def test_handed_in_relations_share_one_pass(monkeypatch):
-    N = 2 * _BLOCK - 2
-    relations = _numeric_suite_relations(5)
-    _chain_partials.cache_clear()
-    alone = [verify_linear(rel, N) for rel in relations]
-    passes = []
-
-    def spy(indices, n, strict):
-        passes.append(sorted(indices))
-        return _chain_pass(indices, n, strict)
-
-    monkeypatch.setattr(numeric, "_ahead", {})
-    monkeypatch.setattr(numeric, "_chain_pass", spy)
-    _chain_partials.cache_clear()
-    try:
-        expect_linear(relations, N)
-        assert [verify_linear(rel, N) for rel in relations] == alone
-        assert len(passes) == 1 and len(passes[0]) == 30
-        assert numeric._ahead == {(N, True): {}}
-        # an index nobody handed in gets a pass of its own
-        zeta_strict(idx(7), N)
-        assert passes[1:] == [[(7,)]]
-    finally:
-        _chain_partials.cache_clear()
-
-
 def test_a_batch_pass_memory_does_not_grow_with_truncation():
     peaks = []
     for N in (10**5, 4 * 10**6):
@@ -391,3 +365,87 @@ def test_a_batch_pass_memory_does_not_grow_with_truncation():
             tracemalloc.stop()
     assert peaks[1] < 4 * 2**20, peaks
     assert peaks[1] < peaks[0] + 2**18, peaks
+
+
+# The certified path: the Hölder convolution at 1/2 in fixed point.
+
+
+def _term(mu, c=1):
+    return Combination.term(mu, c)
+
+
+def test_true_relations_pass_with_a_proven_bound_below_1e_30():
+    for rel in _numeric_suite_relations(5):
+        report = verify_linear(rel)
+        assert report["pass"] is True, report
+        assert report["tol"] == numeric.CERTIFIED_TOL == 1e-30
+        assert 0.0 < report["err"] <= 1e-30, report
+    report = verify_quadratic(quadratic_relation((1,), (1,), 2))
+    assert report["pass"] is True and 0.0 < report["err"] <= 1e-30, report
+
+
+def test_planted_false_relations_fail():
+    # the doubling bar accepted the 1/500 plant at N = 10**6: 8.45e-4 against 8.48e-4
+    element = kawashima_relation(idx(1, 1), idx(1, 1)).element
+    for eps in (Fraction(1, 500), Fraction(1, 10**20)):
+        report = verify_linear(element + _term((3, 1), eps))
+        assert report["pass"] is False, report
+        # the value is eps * zeta(3,2), and the bound is far below it
+        assert abs(report["value"] - float(eps) * 0.7115661975505724) < 1e-9 * float(eps)
+        assert report["err"] < 1e-6 * abs(report["value"]), report
+
+
+@pytest.mark.parametrize("mu", NUMERIC_INDICES)
+def test_certified_values_lie_within_the_truncated_oracle(mu):
+    certified = zeta_strict(_term(mu))
+    truncated = zeta_strict(_term(mu), 10**4)
+    assert abs(certified.value - truncated.value) <= certified.err + truncated.err, mu
+
+
+def _machin_pi(bits):
+    """``(p, e)`` with ``|2**bits * pi - p| <= e``, by Machin's formula in integers."""
+    p = e = 0
+    for scale, x in ((16, 5), (-4, 239)):
+        k = 0
+        while (term := (1 << bits) // ((2 * k + 1) * x ** (2 * k + 1))):
+            p += scale * (-1) ** k * term
+            k += 1
+        # each floor loses less than a unit, and so does the alternating tail
+        e += abs(scale) * (k + 1)
+    return p, e
+
+
+def test_zeta_2_and_4_against_machin_pi_to_110_bits():
+    p, e = _machin_pi(256)
+    pi, d = Fraction(p, 1 << 256), Fraction(e, 1 << 256)
+    for mu, power, scale in (((2,), 2, 6), ((4,), 4, 90)):
+        est = zeta_strict(_term(mu))
+        value, bound = est.exact
+        exact = pi**power / scale
+        slack = ((pi + d) ** power - pi**power) / scale
+        assert abs(value - exact) <= bound + slack, mu
+        assert bound + slack <= Fraction(1, 2**110), mu
+        # err is a true bound for the rounded float too
+        assert abs(Fraction(est.value) - exact) <= Fraction(est.err) + slack, mu
+
+
+def test_known_identities_within_the_summed_bounds():
+    # zeta(3) = zeta(1,2) (Euler) and zeta(4) = 4 zeta(1,3)
+    for left, right, c in (((3,), (1, 2), 1), ((4,), (1, 3), 4)):
+        (a, ea), (b, eb) = zeta_strict(_term(left)).exact, zeta_strict(_term(right)).exact
+        assert abs(a - c * b) <= ea + c * eb, (left, right)
+        assert ea + c * eb < Fraction(1, 2**105)
+
+
+def test_a_40_bit_value_and_bound_contain_the_120_bit_value():
+    for mu in NUMERIC_INDICES:
+        rough, fine = zeta_strict(_term(mu), bits=40), zeta_strict(_term(mu), bits=120)
+        assert abs(rough.exact[0] - fine.exact[0]) <= rough.exact[1], mu
+        assert rough.truncation < fine.truncation
+        assert fine.exact[1] < rough.exact[1] < Fraction(1, 2**30), mu
+
+
+def test_certified_estimates_refuse_divergent_indices():
+    for bad in (_term((2, 1)), _term(()), _term((2,)) + _term((1,))):
+        with pytest.raises(ValueError):
+            zeta_strict(bad)

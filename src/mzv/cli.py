@@ -390,9 +390,10 @@ def cmd_verify(args) -> int:
         raise ValueError("--pairs-up-to must be >= 2")
     checks = SUITES[args.suite](args)
     overall = all(c["pass"] for c in checks)
-    lines = [  # a check's note is for the text only
-        "%s %s%s" % ("ok  " if c["pass"] else "FAIL", c["name"], c.pop("note", "")) for c in checks
+    lines = [
+        "%s %s%s" % ("ok  " if c["pass"] else "FAIL", c["name"], c.get("note", "")) for c in checks
     ] + ["%d checks, %s" % (len(checks), "all passed" if overall else "FAILURES")]
+    checks = [{k: v for k, v in c.items() if k != "note"} for c in checks]  # notes are text-only
     _emit(
         {"command": "verify", "suite": args.suite, "checks": checks, "pass": overall},
         lines,

@@ -214,9 +214,9 @@ def _rounded(value: Fraction, bound: Fraction, terms: int) -> MzvEstimate:
     return MzvEstimate(f, up if up >= err else math.nextafter(up, math.inf), terms, (value, bound))
 
 
-def zeta_strict(x, N: int | None = None, bits: int = CERTIFIED_BITS) -> MzvEstimate:
+def zeta_strict(x, N: int | None = None) -> MzvEstimate:
     """Strict-chain zeta of a combination (the plain MZV): certified, or truncated at ``N``."""
-    return _certified(x, bits) if N is None else _evaluate(x, N, strict=True)
+    return _certified(x, CERTIFIED_BITS) if N is None else _evaluate(x, N, strict=True)
 
 
 def zeta_bar(x, N: int = DEFAULT_TRUNCATION) -> MzvEstimate:

@@ -439,7 +439,7 @@ def test_known_identities_within_the_summed_bounds():
 
 def test_a_40_bit_value_and_bound_contain_the_120_bit_value():
     for mu in NUMERIC_INDICES:
-        rough, fine = zeta_strict(_term(mu), bits=40), zeta_strict(_term(mu), bits=120)
+        rough, fine = numeric._certified(_term(mu), 40), numeric._certified(_term(mu), 120)
         assert abs(rough.exact[0] - fine.exact[0]) <= rough.exact[1], mu
         assert rough.truncation < fine.truncation
         assert fine.exact[1] < rough.exact[1] < Fraction(1, 2**30), mu

@@ -64,7 +64,7 @@ from .relations import (
     ohno_relations,
     quadratic_relation,
 )
-from .qlinalg import MODULAR_PRIMES, RelationMatrix
+from .qlinalg import RelationMatrix
 from .numeric import MzvEstimate, verify_linear, verify_quadratic, zeta_bar, zeta_plus, zeta_strict
 
 __version__ = "0.1.0"

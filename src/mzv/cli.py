@@ -55,8 +55,8 @@ from .relations import (
 )
 
 HARD_WEIGHT_CAP = 20
-#: the largest dense int64 matrix ``rank-table`` lets ``modular_rank`` allocate
-MODULAR_MATRIX_BYTES = 2**31
+#: the most stuffle-row entries ``rank-table`` builds for one modular weight
+MODULAR_ROW_ENTRIES = 2**24
 
 OPS = {
     "tau": reverse,
@@ -189,19 +189,22 @@ def cmd_product(args) -> int:
     a = parse_combination(args.a)
     b = parse_combination(args.b)
     # a pair with p and q parts has at most the Delannoy number D(p, q) terms
-    pairs = [(len(mu), len(nu)) for mu in a._terms for nu in b._terms]
-    _refuse_large("product " + args.kind, sum(
-        comb(p, i) * comb(q, i) * 2**i for p, q in pairs for i in range(min(p, q) + 1)))
+    _refuse_large("product " + args.kind,
+                  sum(_delannoy(len(mu), len(nu)) for mu in a._terms for nu in b._terms))
     payload = {"command": "product", "kind": args.kind, "a": format_combination(a),
                "b": format_combination(b)}
     return _emit_result(payload, PRODUCTS[args.kind](a, b), args.output)
 
 
-def _stuffle_shape(k: int) -> tuple[int, int]:
-    """Rows and columns of ``stuffle_rows(k)``: pairs of indices of weights ``a <= k - a``."""
-    half = 2 ** (k // 2 - 1)  # indices of weight k / 2
-    same_weight = half * (half + 1) // 2 if k % 2 == 0 else 0
-    return (k - 1) // 2 * 2 ** (k - 2) + same_weight, 2 ** (k - 1)
+def _delannoy(p: int, q: int) -> int:
+    return sum(comb(p, i) * comb(q, i) * 2**i for i in range(min(p, q) + 1))
+
+
+def _stuffle_entries(k: int) -> int:
+    """An upper bound on the non-zero entries of ``stuffle_rows(k)``: ``D(p, q)``
+    per pair of indices of weights ``a <= k - a`` with ``p`` and ``q`` parts."""
+    return sum(comb(a - 1, p - 1) * comb(k - a - 1, q - 1) * _delannoy(p, q)
+               for a in range(1, k // 2 + 1) for p in range(1, a + 1) for q in range(1, k - a + 1))
 
 
 def cmd_rank_table(args) -> int:
@@ -209,13 +212,13 @@ def cmd_rank_table(args) -> int:
         print("mzv: need 2 <= k-min <= k-max <= %d" % HARD_WEIGHT_CAP, file=sys.stderr)
         return 2
     if args.k_max > args.exact_up_to:
-        # the stuffle matrix is the larger one, and its dense size grows with k
-        shape = _stuffle_shape(args.k_max)
-        size = 8 * shape[0] * shape[1]
-        if size > MODULAR_MATRIX_BYTES:
-            raise ValueError("rank-table: the modular rank at weight %d needs a %d x %d int64 "
-                             "matrix, %d bytes, above the limit %d"
-                             % (args.k_max, *shape, size, MODULAR_MATRIX_BYTES))
+        # the packed GF(2) pivots take at most ncols**2 bits (32 MiB at weight 15);
+        # what grows is the stuffle rows, a few hundred bytes per entry as Python rows
+        entries = _stuffle_entries(args.k_max)
+        if entries > MODULAR_ROW_ENTRIES:
+            raise ValueError("rank-table: the modular rank at weight %d builds up to %d "
+                             "stuffle-row entries, above the limit %d"
+                             % (args.k_max, entries, MODULAR_ROW_ENTRIES))
     rows = []
     for k in range(args.k_min, args.k_max + 1):
         exact = k <= args.exact_up_to

@@ -26,12 +26,14 @@ membership query reduces ``den_x * x`` the same way and rebuilds integer
 coefficients over the source rows by back-substitution; every positive answer
 is re-checked by multiplication before being returned.
 
-``modular_rank`` is the fast certified-lower-bound path: the same elimination
-of the integer rows modulo a few fixed 31-bit primes on a dense int64 matrix
-(all intermediate products stay below 2**62), where each pivot row clears its
-column from the later rows that are non-zero there, only in its own non-zero
-columns.  An integer matrix's rank mod p never exceeds its rank over Q, so
-the best rank over the primes is a true lower bound.
+``modular_rank`` is the fast certified-lower-bound path: one elimination
+over GF(2) with the same pivot rule.  Each integer row is divided by its
+content and its odd entries are packed into a Python int, column ``j`` at bit
+``ncols - 1 - j``, so the smallest non-zero column is the highest set bit,
+read by ``bit_length()`` without a big-int operation; each pivot row is keyed
+by it, and each row operation is one XOR.  An integer matrix's rank mod 2
+never exceeds its rank over Q, so it is a true lower bound, but only a lower
+bound.
 """
 
 from __future__ import annotations
@@ -40,9 +42,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .indices import Combination, _accumulate, all_indices, as_combination
-
-#: Three fixed 31-bit primes (each exceeds 2**20, as the certificates require).
-MODULAR_PRIMES = (2147483647, 2147483629, 2147483587)
 
 
 class RelationMatrix:
@@ -141,33 +140,25 @@ class RelationMatrix:
 
     # -- modular lower bound -------------------------------------------------
 
-    def modular_rank(self, primes=MODULAR_PRIMES) -> int:
-        """max over ``primes`` of the rank mod p: a lower bound for rank()."""
-        best = 0
-        for p in primes:
-            if not (2**20 < p < 2**31):
-                raise ValueError("modular primes must lie strictly between 2**20 and 2**31")
-            best = max(best, self._rank_mod(p))
-        return best
+    def modular_rank(self) -> int:
+        """Rank over GF(2) of the primitive integer rows: a lower bound for rank().
 
-    def _rank_mod(self, p: int) -> int:
-        import numpy as np
-
-        m = np.zeros((self.nrows, self.ncols), dtype=np.int64)
-        for i, (row, _) in enumerate(self._integer):
-            m[i, list(row)] = [c % p for c in row.values()]
-        rank = 0
-        for i in range(self.nrows):
-            nz = np.flatnonzero(m[i])
-            if nz.size:
-                col = nz[0]
-                below = i + 1 + np.flatnonzero(m[i + 1 :, col])
-                if below.size:
-                    factor = m[below, col] * pow(int(m[i, col]), -1, p) % p
-                    block = np.ix_(below, nz)
-                    m[block] = (m[block] - factor[:, None] * m[i, nz]) % p
-                rank += 1
-        return rank
+        It can fall short: ``(2) + (1,1)`` and ``(2) - (1,1)`` have rank 2 over
+        Q but are the same row mod 2, so ``modular_rank()`` is 1 there.  A row
+        such as ``2*(2)`` still counts, because its content is divided out first.
+        """
+        top = self.ncols - 1
+        pivots = {}
+        for row, _ in self._integer:
+            g = gcd(*row.values())
+            v = sum(1 << top - j for j, c in row.items() if c // g & 1)
+            while v:
+                pivot = pivots.get(v.bit_length())
+                if pivot is None:
+                    pivots[v.bit_length()] = v
+                    break
+                v ^= pivot
+        return len(pivots)
 
 
 def _reduce(vec, echelon):

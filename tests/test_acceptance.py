@@ -75,8 +75,8 @@ def test_01_relation_space_rank_table():
     expected = {2: 1, 3: 2, 4: 5, 5: 10, 6: 23, 7: 46, 8: 98, 9: 200}
     for weight, want in expected.items():
         assert _matrix(weight).rank() == want, weight
-    # beyond the exact range: certified lower bounds mod three primes
-    # already reach the same table values
+    # beyond the exact range: certified lower bounds over GF(2) already
+    # reach the same table values
     for weight, want in {10: 413, 11: 838}.items():
         matrix = RelationMatrix.from_relations(kawashima_basis(weight))
         assert matrix.modular_rank() == want, weight

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from mzv import cli
-from mzv.indices import all_indices
 from mzv.relations import stuffle_rows
 
 
@@ -314,15 +313,15 @@ def test_rank_table_refuses_a_modular_matrix_above_the_memory_limit_up_front(k_m
     proc = _run_with_timeout(["rank-table", "--k-min", k_min, "--k-max", "15"])
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == (
-        "mzv: rank-table: the modular rank at weight 15 needs a 57344 x 16384 int64 matrix, "
-        "7516192768 bytes, above the limit 2147483648\n")
+        "mzv: rank-table: the modular rank at weight 15 builds up to 30116864 stuffle-row "
+        "entries, above the limit 16777216\n")
 
 
-def test_the_modular_memory_limit_admits_weight_14_and_counts_the_rows_exactly():
-    for k in range(2, 11):
-        assert cli._stuffle_shape(k) == (len(stuffle_rows(k)), len(all_indices(k)))
-    assert cli._stuffle_shape(14) == (26656, 8192)
-    assert 8 * 26656 * 8192 <= cli.MODULAR_MATRIX_BYTES < 8 * 57344 * 16384
+def test_the_modular_entry_limit_admits_weight_14_and_bounds_the_entries():
+    for k in range(2, 12):
+        assert sum(map(len, stuffle_rows(k))) <= cli._stuffle_entries(k)
+    assert cli._stuffle_entries(14) == 10374080
+    assert cli._stuffle_entries(14) <= cli.MODULAR_ROW_ENTRIES < cli._stuffle_entries(15)
 
 
 def test_cheap_applications_of_long_indices_still_run(capsys):

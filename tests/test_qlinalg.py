@@ -1,13 +1,14 @@
 import json
 import random
 from fractions import Fraction
+from math import gcd, lcm
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mzv.indices import Combination, _accumulate, all_indices, idx, parse_combination
-from mzv.qlinalg import MODULAR_PRIMES, RelationMatrix
+from mzv.qlinalg import RelationMatrix
 from mzv.relations import (
     duality_element,
     duality_relation,
@@ -128,18 +129,17 @@ def test_modular_rank_matches_exact_on_generated_rows():
 
 
 def test_modular_rank_of_a_row_with_a_modular_prime_denominator():
-    # 1/p has no inverse mod p; the row's integer form (2) + p*(1,1) is (2) mod p
-    m = RelationMatrix(2, [comb("1/2147483647*(2) + (1,1)")])
+    # 1/2 has no inverse mod 2; the row's integer form (2) + 2*(1,1) is (2) mod 2
+    m = RelationMatrix(2, [comb("1/2*(2) + (1,1)")])
     assert m.modular_rank() == 1 == m.rank()
 
 
-def test_modular_prime_validation():
-    m = RelationMatrix(2, [comb("(2)")])
-    with pytest.raises(ValueError):
-        m.modular_rank(primes=(97,))
-    with pytest.raises(ValueError):
-        m.modular_rank(primes=(2**33,))
-    assert m.modular_rank(primes=MODULAR_PRIMES[:1]) == 1
+def test_modular_rank_is_only_a_lower_bound():
+    # the two rows agree mod 2, so GF(2) sees one of the two dimensions
+    m = RelationMatrix(2, [comb("(2) + (1,1)"), comb("(2) - (1,1)")])
+    assert m.modular_rank() == 1 < m.rank() == 2
+    # an even row is divided by its content before it is reduced mod 2
+    assert RelationMatrix(2, [comb("2*(2)")]).modular_rank() == 1
 
 
 def test_rank_survives_scaling_and_duplication():
@@ -283,15 +283,51 @@ def _masked_rank_mod(rows, ncols, p):
     return rank
 
 
-def _assert_rank_mod_matches_the_oracle(weight, rows, primes=MODULAR_PRIMES):
-    """The row-driven ``_rank_mod`` against the column-driven oracle, per prime,
-    with the rows in input, sparsest-first and reversed order."""
+# -- the numpy 31-bit elimination that GF(2) replaced, as an oracle ----------
+
+#: three fixed 31-bit primes; all intermediate products stay below 2**62
+MODULAR_PRIMES = (2147483647, 2147483629, 2147483587)
+
+
+def _rank_mod(matrix, p):
+    """Row-driven dense elimination of the integer rows mod p: each pivot row
+    clears its column from the later rows that are non-zero there, only in
+    its own non-zero columns."""
+    m = np.zeros((matrix.nrows, matrix.ncols), dtype=np.int64)
+    for i, (row, _) in enumerate(matrix._integer):
+        m[i, list(row)] = [c % p for c in row.values()]
+    rank = 0
+    for i in range(matrix.nrows):
+        nz = np.flatnonzero(m[i])
+        if nz.size:
+            col = nz[0]
+            below = i + 1 + np.flatnonzero(m[i + 1 :, col])
+            if below.size:
+                factor = m[below, col] * pow(int(m[i, col]), -1, p) % p
+                block = np.ix_(below, nz)
+                m[block] = (m[block] - factor[:, None] * m[i, nz]) % p
+            rank += 1
+    return rank
+
+
+def _primitive(row):
+    """A rational row scaled to coprime integers."""
+    den = lcm(*(Fraction(c).denominator for c in row.values()))
+    row = {j: int(c * den) for j, c in row.items()}
+    g = gcd(*row.values())
+    return {j: c // g for j, c in row.items()}
+
+
+def _assert_rank_mod_matches_the_oracle(weight, rows):
+    """The GF(2) ``modular_rank`` against the column-driven oracle on the
+    primitive integer rows, with the rows in input, sparsest-first and
+    reversed order."""
     for order in (list, lambda rows: sorted(rows, key=len), lambda rows: rows[::-1]):
         matrix = RelationMatrix(weight, order(rows))
         colpos = {mu: j for j, mu in enumerate(matrix.columns)}
-        sparse = [{colpos[mu]: c for mu, c in row._terms.items()} for row in matrix.rows]
-        for p in primes:
-            assert matrix._rank_mod(p) == _masked_rank_mod(sparse, matrix.ncols, p)
+        primitive = [_primitive({colpos[mu]: c for mu, c in row._terms.items()})
+                     for row in matrix.rows]
+        assert matrix.modular_rank() == _masked_rank_mod(primitive, matrix.ncols, 2)
 
 
 def _assert_matches_the_oracles(weight, rows, targets):
@@ -366,6 +402,7 @@ def test_random_rational_rows_match_the_fraction_elimination(seed):
 @pytest.mark.parametrize("p", MODULAR_PRIMES)
 @pytest.mark.parametrize("seed", range(6))
 def test_rank_mod_matches_the_oracle_on_rows_with_zeros_duplicates_and_multiples_of_p(seed, p):
+    # p only seeds the multiples; the GF(2) rank is checked on its own
     rng = random.Random(2000 + seed)
     weight = rng.choice((4, 5, 6))
     columns = all_indices(weight)
@@ -383,10 +420,28 @@ def test_rank_mod_matches_the_oracle_on_rows_with_zeros_duplicates_and_multiples
                 row = row + Fraction(num, rng.choice((1, 2, 3, 7))) * Combination.term(mu)
             rows.append(row)
     rng.shuffle(rows)
-    _assert_rank_mod_matches_the_oracle(weight, rows, primes=(p,))
+    _assert_rank_mod_matches_the_oracle(weight, rows)
+    matrix = RelationMatrix(weight, rows)
+    assert matrix.modular_rank() <= matrix.rank()
 
 
 @pytest.mark.parametrize("k", range(2, 10))
 def test_rank_does_not_depend_on_the_row_order(k):
     rows = stuffle_rows(k)
     assert RelationMatrix(k, sorted(rows, key=len)).rank() == RelationMatrix(k, rows).rank()
+
+
+def _cli_row_families(k):
+    yield "stuffle", stuffle_rows(k)
+    yield "ohno", [rel.element for rel in ohno_relations(k)]
+    if k <= 10:
+        yield "kawashima", [rel.element for rel in kawashima_basis(k)]
+
+
+@pytest.mark.parametrize("k", range(2, 12))
+def test_gf2_rank_equals_the_best_31_bit_rank_on_the_cli_rows(k):
+    # mod 2 is only a lower bound in general; on these families it loses nothing
+    for name, rows in _cli_row_families(k):
+        matrix = RelationMatrix(k, sorted(rows, key=len))
+        best = max(_rank_mod(matrix, p) for p in MODULAR_PRIMES)
+        assert matrix.modular_rank() == best, name

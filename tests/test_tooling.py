@@ -32,13 +32,15 @@ def test_benchmark_self_check():
 
 
 def test_import_does_not_load_numpy():
-    # numpy is imported inside the truncated numeric kernels and the modular
-    # rank only, so commands that use neither start without it; `verify
-    # numeric` runs the certified evaluator, pure Python integers
+    # numpy is imported inside the truncated numeric kernels only; `verify
+    # numeric` runs the certified evaluator and `rank-table` the GF(2) rank,
+    # both on pure Python integers
     for code in (
         "import sys, mzv, mzv.cli; assert 'numpy' not in sys.modules, sorted(sys.modules)",
         "import sys; from mzv import cli; assert cli.main(['verify', 'numeric', "
         "'--pairs-up-to', '3']) == 0; assert 'numpy' not in sys.modules, sorted(sys.modules)",
+        "import sys; from mzv import cli; assert cli.main(['rank-table', '--k-max', '10']) == 0; "
+        "assert 'numpy' not in sys.modules, sorted(sys.modules)",
     ):
         proc = subprocess.run(
             [sys.executable, "-c", code], cwd=SRC.parent, capture_output=True, text=True,

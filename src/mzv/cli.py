@@ -55,7 +55,7 @@ from .relations import (
 )
 
 HARD_WEIGHT_CAP = 20
-#: the most stuffle-row entries ``rank-table`` builds for one modular weight
+#: the most stuffle-row entries ``rank-table`` builds for its highest weight
 MODULAR_ROW_ENTRIES = 2**24
 
 OPS = {
@@ -211,14 +211,13 @@ def cmd_rank_table(args) -> int:
     if not 2 <= args.k_min <= args.k_max <= HARD_WEIGHT_CAP:
         print("mzv: need 2 <= k-min <= k-max <= %d" % HARD_WEIGHT_CAP, file=sys.stderr)
         return 2
-    if args.k_max > args.exact_up_to:
-        # the packed GF(2) pivots take at most ncols**2 bits (32 MiB at weight 15);
-        # what grows is the stuffle rows, a few hundred bytes per entry as Python rows
-        entries = _stuffle_entries(args.k_max)
-        if entries > MODULAR_ROW_ENTRIES:
-            raise ValueError("rank-table: the modular rank at weight %d builds up to %d "
-                             "stuffle-row entries, above the limit %d"
-                             % (args.k_max, entries, MODULAR_ROW_ENTRIES))
+    # both modes build the stuffle rows, about 200 bytes per entry (GF(2) pivots: ncols**2 bits)
+    entries = _stuffle_entries(args.k_max)
+    if entries > MODULAR_ROW_ENTRIES:
+        mode = "modular" if args.k_max > args.exact_up_to else "exact"
+        raise ValueError("rank-table: the %s rank at weight %d builds up to %d "
+                         "stuffle-row entries, above the limit %d"
+                         % (mode, args.k_max, entries, MODULAR_ROW_ENTRIES))
     rows = []
     for k in range(args.k_min, args.k_max + 1):
         exact = k <= args.exact_up_to

@@ -124,6 +124,11 @@ def _mask(mu: MultiIndex) -> int:
     return sum(1 << (s - 1) for s in accumulate(mu[:-1]))
 
 
+def _key(mu: MultiIndex) -> int:
+    """``1 << (weight-1) | marks``: phi is 0, and a key's bit length is its weight."""
+    return _mask(mu) | 1 << sum(mu) >> 1
+
+
 @lru_cache(maxsize=1 << 15)
 def _unmask(m: int, mask: int) -> MultiIndex:
     """The weight-``m`` index with the marks of ``mask``; phi for ``m = 0``."""
@@ -279,7 +284,7 @@ class Combination:
 
     def homogeneous_weight(self) -> int:
         """The common weight of all terms; raises if mixed or zero."""
-        weights = {mu.weight for mu in self._terms}
+        weights = set(map(sum, self._terms))
         if len(weights) != 1:
             raise ValueError("combination is not homogeneous of a single weight")
         return weights.pop()
@@ -347,8 +352,8 @@ def coarsen(x) -> Combination:
 def _submask_sum(x, refining: bool) -> Combination:
     """Replace each index by the indices with marks ``fixed | sub`` for every
     ``sub`` of ``free``: refining fixes the marks and frees the other bits,
-    coarsening fixes nothing and frees the marks.  A weight-``m`` key carries
-    the bit ``1 << (m - 1)`` (phi is 0), so its bit length is its weight."""
+    coarsening fixes nothing and frees the marks; the sums are kept on
+    :func:`_key` keys."""
     acc = {}
     get = acc.get
     for mu, c in as_combination(x)._terms.items():
@@ -362,11 +367,14 @@ def _submask_sum(x, refining: bool) -> Combination:
             if not sub:
                 break
             sub = (sub - 1) & free
+    return _from_keys(acc)
+
+
+def _from_keys(acc: dict) -> Combination:
+    """The non-zero terms of ``acc``, a dict over :func:`_key` keys, decoded once."""
     out = Combination()
-    for key, c in acc.items():
-        if c:
-            m = key.bit_length()
-            out._terms[_unmask(m, key ^ (1 << m >> 1))] = c
+    out._terms = {_unmask(k.bit_length(), k ^ 1 << k.bit_length() >> 1): c
+                  for k, c in acc.items() if c}
     return out
 
 

@@ -7,8 +7,9 @@ to the chosen parts.  The empty label acts as the identity, any non-empty
 label annihilates phi, and everything is extended bilinearly.  Composing two
 of these operators multiplies their labels harmonically.
 
-``ohno_bar_apply`` is the same operator conjugated by ``dual``.  For labels
-that are the refinement sum of a single part (``refine((r,))``), both
+``ohno_bar_apply`` is the same operator conjugated by ``dual``.  The label
+``refine((r,))``, every composition of ``r``, adds each weak composition of
+``r`` into ``len(nu)`` parts to ``nu`` once (:func:`ohno_u`).  For it, both
 operators admit closed block-splitting formulas -- sums over decompositions
 of the argument into consecutive blocks -- which are implemented separately
 (`ohno_ones_blocks`, `ohno_u_blocks`, and the weight-split sums
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import add
 
 from .indices import (
     PHI,
@@ -74,20 +76,26 @@ def ohno_bar_apply(label, x) -> Combination:
     return dual(ohno_apply(label, dual(x)))
 
 
-def ohno_u(r: int, x) -> Combination:
-    """Apply the operator labelled by all refinements of the one-part index (r).
+@lru_cache(maxsize=None)
+def _weak_compositions(r: int, q: int) -> list[tuple[int, ...]]:
+    """Every way to write ``r`` as an ordered sum of ``q`` parts ``>= 0``."""
+    picks = itertools.combinations_with_replacement(range(q), r)
+    return [tuple(map(p.count, range(q))) for p in picks]
 
-    ``r = 0`` is the identity.
-    """
+
+def ohno_u(r: int, x) -> Combination:
+    """Apply the operator labelled by all refinements of the one-part index (r)."""
     if r < 0:
         raise ValueError("the shift amount must be >= 0")
-    return ohno_apply(refine(idx(r)) if r else Combination.term(PHI), x)
+    out = Combination()
+    for nu, c in as_combination(x)._terms.items():
+        _accumulate(out._terms, ((tuple.__new__(MultiIndex, map(add, nu, e)), c)
+                                 for e in _weak_compositions(r, len(nu))))
+    return out
 
 
 def ohno_bar_u(r: int, x) -> Combination:
     """Dual-conjugated :func:`ohno_u`."""
-    if r < 0:
-        raise ValueError("the shift amount must be >= 0")
     return dual(ohno_u(r, dual(x)))
 
 

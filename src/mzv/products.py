@@ -1,10 +1,12 @@
 """The harmonic product of multi-indices and its relatives.
 
 ``stuffle(x, y)`` is the commutative product obtained by interleaving the two
-part lists while optionally adding one part of each side, computed by a
-cached recursion on the last parts; an independent oracle
-(:func:`enumerate_stuffle`, which lists the two-row interleaving matrices) is
-kept around for cross-checking.
+part lists while optionally adding one part of each side.  ``_stuffle``
+recurses on the last parts over mark keys ``1 << (w-1) | marks`` (phi is 0):
+dropping the last part clears the top bit, appending the part that makes
+weight ``w`` sets bit ``w-1``, and each product is decoded once.  It and
+``_stuffle_bar`` keep every pair product they meet until
+:func:`stuffle_cache_clear`.  :func:`enumerate_stuffle` is the slow oracle.
 
 ``stuffle_bar`` is not a second product but the length-sign twist of the
 first: ``stuffle_bar(x, y) = signed(stuffle(signed(x), signed(y)))``, so every
@@ -28,8 +30,11 @@ from .indices import (
     Combination,
     MultiIndex,
     _accumulate,
+    _from_keys,
+    _key,
     as_combination,
     as_index,
+    concat,
     signed,
 )
 
@@ -110,39 +115,23 @@ def stuffle_bar_via_matrices(mu, nu) -> Combination:
     )
 
 
-def _concat_last(comb: Combination, part: int) -> dict:
-    # a positive part appended to valid indices: no validation needed
-    return {tuple.__new__(MultiIndex, mu + (part,)): c for mu, c in comb._terms.items()}
-
-
-def _merge_dicts(*dicts) -> Combination:
-    out = Combination()
-    for d in dicts:
-        _accumulate(out._terms, d.items())
-    return out
-
-
 @lru_cache(maxsize=None)
-def _stuffle(mu: MultiIndex, nu: MultiIndex) -> Combination:
-    if not mu:
-        return Combination.term(nu)
-    if not nu:
-        return Combination.term(mu)
-    if nu < mu:
-        mu, nu = nu, mu
-    a, b = mu[-1], nu[-1]
-    mu0, nu0 = MultiIndex(mu[:-1]), MultiIndex(nu[:-1])
-    return _merge_dicts(
-        _concat_last(_stuffle(mu0, nu), a),
-        _concat_last(_stuffle(mu, nu0), b),
-        _concat_last(_stuffle(mu0, nu0), a + b),
-    )
+def _stuffle(k: int, l: int) -> dict:
+    """The product of the mark keys ``k <= l``, as a dict key -> multiplicity."""
+    if not k:
+        return {l: 1}
+    tk, tl = 1 << k.bit_length() - 1, 1 << l.bit_length() - 1
+    k0, l0, top = k ^ tk, l ^ tl, tk << l.bit_length()
+    out = {key | top: c for key, c in _stuffle(k0, l).items()}
+    for pair in sorted((k, l0)), sorted((k0, l0)):
+        _accumulate(out, ((key | top, c) for key, c in _stuffle(*pair).items()))
+    return out
 
 
 @lru_cache(maxsize=None)
 def _stuffle_bar(mu: MultiIndex, nu: MultiIndex) -> Combination:
     # signed(stuffle(signed(mu), signed(nu))) for bare indices
-    return (-1) ** (len(mu) + len(nu)) * signed(_stuffle(mu, nu))
+    return (-1) ** (len(mu) + len(nu)) * signed(stuffle(mu, nu))
 
 
 def _bilinear(pairfn, x, y) -> Combination:
@@ -160,7 +149,12 @@ def stuffle(x, y) -> Combination:
     >>> stuffle((1,), (1,))
     2*(1,1) + (2)
     """
-    return _bilinear(_stuffle, x, y)
+    left, right = ([(_key(mu), c) for mu, c in as_combination(z)._terms.items()] for z in (x, y))
+    acc = {}
+    for k, c in left:
+        for l, d in right:
+            _accumulate(acc, (_stuffle(k, l) if k <= l else _stuffle(l, k)).items(), c * d)
+    return _from_keys(acc)
 
 
 def stuffle_bar(x, y) -> Combination:
@@ -178,8 +172,7 @@ def _circ(name: str, head, x, y) -> Combination:
     def pair(mu: MultiIndex, nu: MultiIndex) -> Combination:
         if not mu or not nu:
             raise ValueError("%s requires non-empty indices" % name)
-        heads = head(MultiIndex(mu[:-1]), MultiIndex(nu[:-1]))
-        return Combination(_concat_last(heads, mu[-1] + nu[-1]))
+        return concat(head(MultiIndex(mu[:-1]), MultiIndex(nu[:-1])), (mu[-1] + nu[-1],))
 
     return _bilinear(pair, x, y)
 
@@ -194,7 +187,7 @@ def circ(x, y) -> Combination:
     >>> circ((1,), (1, 1))
     (1,2)
     """
-    return _circ("circ", _stuffle, x, y)
+    return _circ("circ", stuffle, x, y)
 
 
 def circ_bar(x, y) -> Combination:

@@ -81,10 +81,11 @@ class RelationMatrix:
 
     def _integer_row(self, x: Combination) -> tuple[dict, int]:
         """``den * x`` as an integer dict over column positions, and ``den``."""
+        colpos = self._colpos
+        if all(type(c) is int for c in x._terms.values()):
+            return {colpos[mu]: c for mu, c in x._terms.items()}, 1
         den = lcm(*(c.denominator for c in x._terms.values()))
-        return {
-            self._colpos[mu]: c.numerator * (den // c.denominator) for mu, c in x._terms.items()
-        }, den
+        return {colpos[mu]: c.numerator * (den // c.denominator) for mu, c in x._terms.items()}, den
 
     # -- elimination and membership ------------------------------------------
 

@@ -297,13 +297,13 @@ def test_apply_and_product_refuse_huge_expansions_up_front(argv):
     assert proc.stderr.startswith("mzv: ") and "terms, above the limit 524288" in proc.stderr
 
 
-def _run_with_timeout(argv):
+def _run_with_timeout(argv, timeout=10):
     # in a subprocess with a timeout, so that a missing guard fails instead of hanging
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(cli.__file__).resolve().parents[1])] + sys.path))
     return subprocess.run(
         [sys.executable, "-m", "mzv.cli", *argv],
-        capture_output=True, text=True, timeout=10, env=env,
+        capture_output=True, text=True, timeout=timeout, env=env,
     )
 
 
@@ -315,6 +315,24 @@ def test_rank_table_refuses_a_modular_matrix_above_the_memory_limit_up_front(k_m
     assert proc.stderr == (
         "mzv: rank-table: the modular rank at weight 15 builds up to 30116864 stuffle-row "
         "entries, above the limit 16777216\n")
+
+
+def test_rank_table_refuses_the_exact_path_above_the_entry_limit_up_front():
+    # the exact echelon builds the same stuffle rows, and more
+    proc = _run_with_timeout(["rank-table", "--k-min", "15", "--k-max", "15",
+                              "--exact-up-to", "15"])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "mzv: rank-table: the exact rank at weight 15 builds up to 30116864 stuffle-row "
+        "entries, above the limit 16777216\n")
+
+
+def test_rank_table_weight_12_headline_row():
+    # the highest weight of the default mode that a test can afford
+    proc = _run_with_timeout(["rank-table", "--k-min", "12", "--k-max", "12"], timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[1].split() == [
+        "12", "2032", "1713", "1713", "1691", "modular-lower-bound"]
 
 
 def test_the_modular_entry_limit_admits_weight_14_and_bounds_the_entries():

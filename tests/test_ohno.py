@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 from mzv.indices import (
     PHI,
@@ -124,12 +125,20 @@ def test_refined_label_operator():
     assert ohno_u(1, idx(2)) == term(3)
     assert ohno_u(2, idx(1)) == term(3)
     assert ohno_u(1, idx(2, 1)) == term(3, 1) + term(2, 2)
-    # the label is the full refinement class of the one-part index
-    for r in range(0, 4):
-        for wa in range(1, 5):
+    # the label is the full refinement class of the one-part index: each
+    # weak composition of r is one term; phi included
+    label = {r: refine(idx(r)) if r else Combination.term(PHI) for r in range(5)}
+    for r in range(5):
+        for wa in range(0, 8):
             for mu in all_indices(wa):
-                direct = ohno_apply(refine(idx(r)) if r else Combination.term(PHI), mu)
-                assert ohno_u(r, mu) == direct
+                assert ohno_u(r, mu) == ohno_apply(label[r], mu), (r, mu)
+    half = Combination([((2, 1), Fraction(1, 2)), ((1, 2), -3), (PHI, Fraction(-5, 3))])
+    cancelling = term(1, 2) - term(2, 1) + term(3) - term(1, 1, 1)
+    for x in (half, cancelling, Combination.zero()):
+        for r in range(5):
+            assert ohno_u(r, x) == ohno_apply(label[r], x), (r, x)
+    assert ohno_u(1, term(1, 2) - term(2, 1)) == term(1, 3) - term(3, 1)
+    assert ohno_u(2, half) == ohno_apply(label[2], half) != 0
 
 
 def test_bar_refined_label_is_dual_conjugate():

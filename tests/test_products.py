@@ -1,10 +1,13 @@
 import math
+from functools import lru_cache
 
 import pytest
 
+from mzv import products
 from mzv.indices import (
     PHI,
     Combination,
+    MultiIndex,
     all_indices,
     as_combination,
     coarsen,
@@ -67,10 +70,42 @@ def test_stuffle_bar_examples():
     assert stuffle_bar(PHI, idx(2)) == Combination.term((2,))
 
 
+@lru_cache(maxsize=None)
+def _tuple_stuffle(mu, nu):
+    # the last-part recursion on index tuples: an oracle for the mark-key kernel
+    if not mu:
+        return Combination.term(nu)
+    if not nu:
+        return Combination.term(mu)
+    a, b = mu[-1], nu[-1]
+    mu0, nu0 = MultiIndex(mu[:-1]), MultiIndex(nu[:-1])
+    return (concat(_tuple_stuffle(mu0, nu), idx(a)) + concat(_tuple_stuffle(mu, nu0), idx(b))
+            + concat(_tuple_stuffle(mu0, nu0), idx(a + b)))
+
+
 def test_recursion_agrees_with_matrix_enumeration():
+    # every pair of total weight <= 10, phi on either side included
+    for w in range(11):
+        for a in range(w + 1):
+            for mu in all_indices(a):
+                for nu in all_indices(w - a):
+                    expected = stuffle_via_matrices(mu, nu)
+                    assert stuffle(mu, nu) == _tuple_stuffle(mu, nu) == expected, (mu, nu)
     for mu, nu in _pairs(7):
-        assert stuffle(mu, nu) == stuffle_via_matrices(mu, nu)
         assert stuffle_bar(mu, nu) == stuffle_bar_via_matrices(mu, nu)
+
+
+def test_stuffle_cache_clear_empties_every_products_cache():
+    from mzv.relations import stuffle_rows
+
+    stuffle_rows(10)
+    circ_bar(idx(1, 2), idx(2))
+    caches = [f for f in vars(products).values()
+              if hasattr(f, "cache_info") and f.__module__ == products.__name__]
+    assert {f.__name__ for f in caches} == {"_stuffle", "_stuffle_bar"}
+    assert all(f.cache_info().currsize for f in caches)
+    products.stuffle_cache_clear()
+    assert [f.cache_info().currsize for f in caches] == [0] * len(caches)
 
 
 def test_stuffle_commutative_and_associative():

@@ -48,6 +48,19 @@ def test_rank_with_fractional_entries():
     assert m.rank() == 2
 
 
+def test_the_all_integer_row_path_equals_the_lcm_path():
+    # the same rows with every coefficient a Fraction (denominator 1, which
+    # sums in Combination can leave) take the lcm path
+    m = RelationMatrix(6, [])
+    for row in stuffle_rows(6) + [r.element for r in ohno_relations(6)]:
+        as_fractions = Combination()
+        as_fractions._terms = {mu: Fraction(c) for mu, c in row._terms.items()}
+        assert m._integer_row(row) == m._integer_row(as_fractions)
+        vec, den = m._integer_row(row * Fraction(1, 6))
+        whole, _ = m._integer_row(row)
+        assert 6 % den == 0 and vec == {j: c * den // 6 for j, c in whole.items()}
+
+
 def test_rejects_mixed_weight_rows():
     with pytest.raises(ValueError):
         RelationMatrix(3, [comb("(2)")])

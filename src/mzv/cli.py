@@ -5,18 +5,16 @@ Output is an aligned text table or canonical JSON (``--output json``; sorted
 keys, fixed separators, one object per run, byte-stable for fixed inputs).
 Exit status: 0 all good, 1 a verification failed, 2 usage or parse error.
 
-``--threads`` (env ``MZV_THREADS``) and ``--truncation`` (env
-``MZV_TRUNCATION``, at least 1000) are validated and not used: all code paths
-are serial, and ``verify numeric`` runs the certified evaluator (only the
-library's truncated one reads a truncation).  They exist so batch drivers can
-pass them without feature-detection.
+``verify`` refuses a ``--weight``, ``--grid`` or ``--pairs-up-to`` above the
+hard cap 20 up front.  Its ``--truncation`` (at least 1000) is validated and
+not read, since ``verify numeric`` runs the certified evaluator; it stays so
+that batch drivers that pass it keep working.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from math import comb
 
@@ -86,26 +84,9 @@ PRODUCTS = {
 }
 
 
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        print("mzv: invalid %s=%r" % (name, raw), file=sys.stderr)
-        raise SystemExit(2)
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", choices=("text", "json"), default="text")
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=_env_int("MZV_THREADS", 1),
-        help="worker count accepted for batch drivers (execution is serial)",
-    )
 
     p = argparse.ArgumentParser(
         prog="mzv", description="exact toolkit for harmonic-product zeta relations"
@@ -136,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--weight", type=int, default=None)
     sp.add_argument("--grid", type=int, default=6)
     sp.add_argument("--pairs-up-to", type=int, default=5)
-    sp.add_argument("--truncation", type=int, default=_env_int("MZV_TRUNCATION", DEFAULT_TRUNCATION),
+    sp.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION,
                     help="validated (>= 1000); verify numeric ignores it, only the "
                          "library's truncated evaluator reads a truncation")
     sp.add_argument("--tol", type=float, default=None)
@@ -407,13 +388,10 @@ def cmd_verify(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("mzv: --threads must be >= 1", file=sys.stderr)
-        return 2
     if getattr(args, "truncation", DEFAULT_TRUNCATION) < 10**3:
         print("mzv: --truncation must be >= 1000", file=sys.stderr)
         return 2
-    for flag in ("weight", "pairs_up_to"):
+    for flag in ("weight", "grid", "pairs_up_to"):
         if (getattr(args, flag, None) or 0) > HARD_WEIGHT_CAP:
             print("mzv: --%s exceeds the hard cap %d" % (flag.replace("_", "-"), HARD_WEIGHT_CAP),
                   file=sys.stderr)

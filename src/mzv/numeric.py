@@ -15,11 +15,15 @@ relation passes when ``|value| <= max(tol, bound)``, ``tol`` 1e-30 by default.
 ``err`` is the bound plus the float rounding of ``value``, rounded up.
 
 The truncated path (an integer ``N``) stays as the test oracle: blockwise
-double-precision chain sums up to ``N`` (:func:`_chain_pass`), each total
-exact and rounded once (:func:`_exact_sum`), with the doubling heuristic
-``2 * |estimate(N) - estimate(N // 2)|`` as error bar and verdicts on
-``max(tol, err)``; the bar is floored at a few machine epsilons of the
-accumulated magnitude, all that a double-precision sum can know.
+double-precision strict chain sums of one index up to ``N``
+(:func:`_chain_partials`), each total exact and rounded once
+(:func:`_exact_sum`), with the doubling heuristic ``2 * |estimate(N) -
+estimate(N // 2)|`` as error bar and verdicts on ``max(tol, err)``; the bar is
+floored at a few machine epsilons of the accumulated magnitude, all that a
+double-precision sum can know.
+
+A weak chain sum is the strict sum over the coarsenings of its index, so
+:func:`zeta_bar` is :func:`zeta_strict` of :func:`~mzv.indices.coarsen`.
 
 Only indices whose last part is at least 2 converge; anything else raises.
 """
@@ -32,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .indices import MultiIndex, _mask, _unmask, as_combination, format_index, raise_last
+from .indices import MultiIndex, _mask, _unmask, as_combination, coarsen, format_index, raise_last
 
 DEFAULT_TRUNCATION = 10**6
 #: Fixed-point bits of the certified 1/2-series, and the default tolerance of its verdicts.
@@ -86,54 +90,33 @@ def _exact_sum(t) -> int:
     return total
 
 
-def _chain_pass(indices, N: int, strict: bool) -> dict:
-    """``{index: (sum to N, sum to N//2)}`` for bare indices, in one pass.
+@lru_cache(maxsize=256)
+def _chain_partials(mu: MultiIndex, N: int) -> tuple:
+    """(sum to N, sum to N//2) of the strict chains of a bare index, block by block.
 
-    The indices share a trie of their prefixes.  Each block computes the
-    power ``x**-p`` once per distinct part and walks the trie depth first, so
-    every prefix's terms, running sum and carry are computed once per block.
+    A level per part: its terms are ``x**-part`` times the running sum of the
+    level below over the positions strictly before, carried across blocks.
+    The half cut is a block boundary; each block's last level is summed once.
     """
     import numpy as np
 
-    root = [{}, None, 0.0]  # a trie node: children by part, index ending here, carry
-    for mu in indices:
-        node = root
-        for part in mu:
-            node = node[0].setdefault(part, [{}, None, 0.0])
-        node[1] = mu
-    parts = {part for mu in indices for part in mu}
-    sums = {mu: [0, 0] for mu in indices}
+    carry = [0.0] * (len(mu) - 1)
     cut = N // 2 + 1
-    for start in range(0, N + 1, _BLOCK):
-        x = np.arange(start + 1.0, min(start + _BLOCK, N + 1) + 1.0)
-        power = {part: x ** float(-part) for part in parts}
-        stack = [(child, None, part) for part, child in root[0].items()]
-        while stack:
-            node, prefix, part = stack.pop()
-            t = power[part] if prefix is None else prefix * power[part]
-            children, mu, before = node
-            if mu is not None:
-                s = sums[mu]
-                if start < cut <= start + len(t):
-                    s[1] = s[0] + _exact_sum(t[: cut - start])
-                s[0] += _exact_sum(t)
-            if children:
-                first = t[0]
-                t[0] += before  # so that the prefix sums continue bit for bit
-                prefix = np.cumsum(t)
-                t[0] = first
-                node[2] = prefix[-1]
-                if strict:
-                    prefix = np.concatenate(([before], prefix[:-1]))
-                stack.extend((child, prefix, p) for p, child in children.items())
+    bounds = sorted({*range(0, N + 1, _BLOCK), cut, N + 1})
+    full = half = 0
+    for start, stop in zip(bounds, bounds[1:]):
+        x = np.arange(start + 1.0, stop + 1.0)
+        power = {part: x ** float(-part) for part in set(mu)}
+        t = power[mu[0]]
+        for level, part in enumerate(mu[1:]):
+            shifted = np.cumsum(np.concatenate(([carry[level]], t[:-1])))
+            carry[level] = shifted[-1] + t[-1]
+            t = shifted * power[part]
+        if start == cut:
+            half = full
+        full += _exact_sum(t)
     # int / int true division rounds correctly, half to even
-    return {mu: (f / (1 << _UNIT), h / (1 << _UNIT)) for mu, (f, h) in sums.items()}
-
-
-@lru_cache(maxsize=256)
-def _chain_partials(mu: MultiIndex, N: int, strict: bool) -> tuple:
-    """(sum to N, sum to N//2) of a bare index."""
-    return _chain_pass([mu], N, strict)[mu]
+    return full / (1 << _UNIT), half / (1 << _UNIT)
 
 
 def _convergent(mu: MultiIndex) -> MultiIndex:
@@ -142,13 +125,12 @@ def _convergent(mu: MultiIndex) -> MultiIndex:
     return mu
 
 
-def _evaluate(x, N: int, strict: bool) -> MzvEstimate:
-    x = as_combination(x)
+def _evaluate(x, N: int) -> MzvEstimate:
     if N < 2:
         raise ValueError("the truncation bound must be >= 2")
     full = half = scale = 0.0
-    for mu, c in x.terms():
-        f, h = _chain_partials(_convergent(mu), N, strict)
+    for mu, c in as_combination(x).terms():
+        f, h = _chain_partials(_convergent(mu), N)
         full += float(c) * f
         half += float(c) * h
         scale += abs(float(c)) * abs(f)
@@ -216,12 +198,12 @@ def _rounded(value: Fraction, bound: Fraction, terms: int) -> MzvEstimate:
 
 def zeta_strict(x, N: int | None = None) -> MzvEstimate:
     """Strict-chain zeta of a combination (the plain MZV): certified, or truncated at ``N``."""
-    return _certified(x, CERTIFIED_BITS) if N is None else _evaluate(x, N, strict=True)
+    return _certified(x, CERTIFIED_BITS) if N is None else _evaluate(x, N)
 
 
-def zeta_bar(x, N: int = DEFAULT_TRUNCATION) -> MzvEstimate:
-    """Truncated weak-chain variant (chains may repeat)."""
-    return _evaluate(x, N, strict=False)
+def zeta_bar(x, N: int | None = None) -> MzvEstimate:
+    """Weak-chain zeta (chains may repeat): the strict zeta of the sum of all coarsenings."""
+    return zeta_strict(coarsen(x), N)
 
 
 def zeta_plus(x, N: int | None = None) -> MzvEstimate:

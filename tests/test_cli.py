@@ -185,12 +185,6 @@ def test_unknown_operator_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
-def test_thread_validation(capsys):
-    code, _, err = run(["dual", "(2)", "--threads", "0"], capsys)
-    assert code == 2
-    assert "threads" in err
-
-
 def test_truncation_validation(capsys):
     code, _, err = run(
         ["verify", "numeric", "--truncation", "999"], capsys
@@ -242,6 +236,7 @@ def test_verify_numeric_zero_tolerance_is_used(capsys, monkeypatch):
         (["verify", "identities", "--weight", "0"], "--weight"),
         (["verify", "theorem310", "--weight", "0"], "--weight"),
         (["verify", "theorem310", "--grid", "-1"], "--grid"),
+        (["verify", "theorem310", "--grid", "21"], "--grid"),
         (["verify", "numeric", "--pairs-up-to", "0"], "--pairs-up-to"),
         (["verify", "numeric", "--pairs-up-to", "1"], "--pairs-up-to"),
     ],
@@ -253,6 +248,11 @@ def test_vacuous_verify_options_are_usage_errors(argv, flag, capsys):
     assert err.startswith("mzv: ") and flag in err
 
 
+def test_grid_at_the_hard_cap_still_runs(capsys):
+    code, out, _ = run(["verify", "theorem310", "--weight", "1", "--grid", "20"], capsys)
+    assert (code, out.splitlines()[-1]) == (0, "2 checks, all passed")
+
+
 def test_verify_least_weights_run_checks(capsys):
     for suite, weight in [("duality", 2), ("ohno", 3), ("identities", 2), ("theorem310", 1)]:
         code, out, _ = run(["verify", suite, "--weight", str(weight), "--grid", "0"], capsys)
@@ -261,23 +261,12 @@ def test_verify_least_weights_run_checks(capsys):
         assert not out.startswith("0 checks")
 
 
-def test_threads_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("MZV_THREADS", "3")
-    args = cli.build_parser().parse_args(["dual", "(2)"])
-    assert args.threads == 3
-
-
-def test_truncation_env_fallback(monkeypatch):
-    monkeypatch.setenv("MZV_TRUNCATION", "54321")
-    args = cli.build_parser().parse_args(["verify", "numeric"])
-    assert args.truncation == 54321
-
-
-def test_bad_env_value(monkeypatch, capsys):
+def test_stray_environment_values_are_not_read(monkeypatch, capsys):
+    # no option reads the environment, so junk there breaks no command
     monkeypatch.setenv("MZV_THREADS", "many")
-    with pytest.raises(SystemExit) as exc:
-        cli.build_parser()
-    assert exc.value.code == 2
+    monkeypatch.setenv("MZV_TRUNCATION", "1e6")
+    code, out, err = run(["dual", "(2)"], capsys)
+    assert (code, out, err) == (0, "(1,1)\n", "")
 
 
 @pytest.mark.parametrize(
@@ -368,10 +357,10 @@ def test_verify_numeric_runs_no_truncated_sums(monkeypatch, capsys):
     # the suite runs the certified evaluator; --truncation is validated but not read
     from mzv import numeric
 
-    def no_pass(*args):
-        raise AssertionError("a truncated chain pass ran")
+    def no_sum(*args):
+        raise AssertionError("a truncated chain sum ran")
 
-    monkeypatch.setattr(numeric, "_chain_pass", no_pass)
+    monkeypatch.setattr(numeric, "_exact_sum", no_sum)
     numeric._chain_partials.cache_clear()
     code, out, _ = run(["verify", "numeric", "--pairs-up-to", "5", "--truncation", "100003"], capsys)
     assert code == 0 and out.endswith("28 checks, all passed\n")

@@ -14,7 +14,6 @@ from mzv.numeric import (
     DEFAULT_TRUNCATION,
     MzvEstimate,
     _chain_partials,
-    _chain_pass,
     _exact_sum,
     default_tolerance,
     verify_linear,
@@ -170,12 +169,22 @@ CHAIN_TRUNCATIONS = [1000, 1001, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK - 2,
                      2 * _BLOCK, 3 * _BLOCK + 7]
 
 
-@pytest.mark.parametrize("strict", [True, False])
 @pytest.mark.parametrize("N", CHAIN_TRUNCATIONS)
-def test_blockwise_partials_match_the_whole_array_oracle(N, strict):
+def test_blockwise_partials_match_the_whole_array_oracle(N):
     for mu in CHAIN_INDICES:
-        got = _chain_partials.__wrapped__(mu, N, strict)
-        assert got == _whole_array_partials(mu, N, strict), (mu, N, strict)
+        got = _chain_partials.__wrapped__(mu, N)
+        assert got == _whole_array_partials(mu, N, True), (mu, N)
+
+
+@pytest.mark.parametrize("N", CHAIN_TRUNCATIONS)
+def test_truncated_zeta_bar_matches_the_weak_whole_array_oracle(N):
+    # the strict sums over the coarsenings add up to the weak chain sum, to
+    # within the rounding of the float terms
+    for mu in CHAIN_INDICES:
+        full, half = _whole_array_partials(mu, N, False)
+        est = zeta_bar(_term(mu), N)
+        assert abs(est.value - full) <= 4 * math.ulp(full), (mu, N, est.value, full)
+        assert abs(est.err - 2 * abs(full - half)) <= 8 * math.ulp(full), (mu, N)
 
 
 def test_exact_sum_rounds_like_fsum():
@@ -214,7 +223,7 @@ def test_exact_sum_refuses_what_it_cannot_sum_exactly():
 def test_chain_partials_memory_does_not_grow_with_truncation():
     tracemalloc.start()
     try:
-        _chain_partials.__wrapped__((1, 2, 1, 2), 4 * 10**6, True)
+        _chain_partials.__wrapped__((1, 2, 1, 2), 4 * 10**6)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -222,8 +231,8 @@ def test_chain_partials_memory_does_not_grow_with_truncation():
     assert peak < 4 * 2**20, peak
 
 
-# The bincount exact sum and the per-index blockwise program that the shared
-# pass with ExtractVector replaced, kept as oracles.
+# The bincount exact sum and the per-index blockwise program that ExtractVector
+# and the shifted running sums replaced, kept as oracles.
 _ORACLE_LIFT = 54
 _ORACLE_UNIT = 1074 + _ORACLE_LIFT
 
@@ -249,7 +258,7 @@ def _bincount_exact_sum(t):
     return total
 
 
-def _per_index_partials(mu, N, strict):
+def _per_index_partials(mu, N):
     carry = [0.0] * (len(mu) - 1)
     cut = N // 2 + 1
     full = half = 0
@@ -261,8 +270,7 @@ def _per_index_partials(mu, N, strict):
             t[0] += before
             prefix = np.cumsum(t)
             carry[j] = prefix[-1]
-            if strict:
-                prefix = np.concatenate(([before], prefix[:-1]))
+            prefix = np.concatenate(([before], prefix[:-1]))
             t = prefix * x ** float(-part)
         if start < cut <= start + len(t):
             half = full + _bincount_exact_sum(t[: cut - start])
@@ -289,8 +297,8 @@ def _numeric_suite_indices(cap):
 
 
 NUMERIC_INDICES = _numeric_suite_indices(5)
-# (2,) and (2,3) end inside longer indices, (2,2,2) repeats a part, and the
-# rest split off at every depth
+# indices that share prefixes, one that repeats a part (2,2,2), and the longest
+# (1,1,1,1,2), on top of the suite's
 PREFIX_SETS = [
     [(2,), (2, 3), (2, 3, 2), (2, 3, 3), (2, 2, 2), (1, 2), (1, 1, 2), (3, 1, 2)],
     [(1, 1, 1, 1, 2), (1, 1, 1, 2), (1, 1, 2), (1, 2)],
@@ -303,25 +311,11 @@ def test_the_numeric_suite_has_31_distinct_indices():
     assert len(NUMERIC_INDICES) == 31
 
 
-@pytest.mark.parametrize("strict", [True, False])
 @pytest.mark.parametrize("N", PASS_TRUNCATIONS)
-def test_shared_pass_matches_the_per_index_oracle(N, strict):
+def test_partials_match_the_per_index_oracle(N):
     for indices in [NUMERIC_INDICES] + PREFIX_SETS:
-        got = _chain_pass(indices, N, strict)
-        assert set(got) == set(indices)
         for mu in indices:
-            assert got[mu] == _per_index_partials(mu, N, strict), (mu, N, strict)
-
-
-@pytest.mark.parametrize("strict", [True, False])
-def test_a_batch_pass_equals_passes_of_one_index(strict):
-    N = 3 * _BLOCK + 7
-    indices = NUMERIC_INDICES + PREFIX_SETS[0]
-    alone = {mu: _chain_pass([mu], N, strict)[mu] for mu in indices}
-    assert _chain_pass(indices, N, strict) == alone
-    assert _chain_pass(indices[::-1] + indices[:3], N, strict) == alone
-    for mu in indices:
-        assert _chain_partials.__wrapped__(mu, N, strict) == alone[mu]
+            assert _chain_partials.__wrapped__(mu, N) == _per_index_partials(mu, N), (mu, N)
 
 
 def _adversarial_arrays():
@@ -352,19 +346,6 @@ def test_extract_vector_matches_the_bincount_oracle():
         got, want = _exact_sum(t), _bincount_exact_sum(t)
         assert got << _ORACLE_UNIT == want << _UNIT, case
         assert got / (1 << _UNIT) == math.fsum(t), case
-
-
-def test_a_batch_pass_memory_does_not_grow_with_truncation():
-    peaks = []
-    for N in (10**5, 4 * 10**6):
-        tracemalloc.start()
-        try:
-            _chain_pass(NUMERIC_INDICES, N, True)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] < 4 * 2**20, peaks
-    assert peaks[1] < peaks[0] + 2**18, peaks
 
 
 # The certified path: the Hölder convolution at 1/2 in fixed point.
@@ -449,3 +430,16 @@ def test_certified_estimates_refuse_divergent_indices():
     for bad in (_term((2, 1)), _term(()), _term((2,)) + _term((1,))):
         with pytest.raises(ValueError):
             zeta_strict(bad)
+    # (2,1) is among its own coarsenings (2,1) and (3), in both modes
+    for N in (None, 1000):
+        with pytest.raises(ValueError):
+            zeta_bar(_term((2, 1)), N)
+
+
+def test_certified_zeta_bar_of_1_2_is_twice_zeta_3():
+    # zeta*(1,2) = zeta(1,2) + zeta(3) = 2 zeta(3)
+    star = zeta_bar(_term((1, 2)))
+    (a, ea), (b, eb) = star.exact, zeta_strict(_term((3,))).exact
+    assert abs(a - 2 * b) <= ea + 2 * eb
+    assert ea + 2 * eb < Fraction(1, 2**105)
+    assert abs(star.value - 2 * 1.2020569031595942) < 1e-15

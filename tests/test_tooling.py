@@ -1,6 +1,8 @@
 """Checks on the package source itself."""
 
 import ast
+import doctest
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -33,10 +35,12 @@ def test_benchmark_self_check():
 
 def test_import_does_not_load_numpy():
     # numpy is imported inside the truncated numeric kernels only; `verify
-    # numeric` runs the certified evaluator and `rank-table` the GF(2) rank,
-    # both on pure Python integers
+    # numeric`, a certified `zeta_bar` and `rank-table` (the GF(2) rank) run on
+    # pure Python integers
     for code in (
         "import sys, mzv, mzv.cli; assert 'numpy' not in sys.modules, sorted(sys.modules)",
+        "import sys, mzv; assert mzv.zeta_bar(mzv.idx(1, 2)).exact[1] < 1e-30; "
+        "assert 'numpy' not in sys.modules, sorted(sys.modules)",
         "import sys; from mzv import cli; assert cli.main(['verify', 'numeric', "
         "'--pairs-up-to', '3']) == 0; assert 'numpy' not in sys.modules, sorted(sys.modules)",
         "import sys; from mzv import cli; assert cli.main(['rank-table', '--k-max', '10']) == 0; "
@@ -47,3 +51,15 @@ def test_import_does_not_load_numpy():
             timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_and_docstring_examples_run():
+    # the README's quickstart, and the examples in the package's docstrings
+    readme = doctest.testfile(str(SRC.parents[1] / "README.md"), module_relative=False)
+    assert (readme.failed, readme.attempted) == (0, 14)
+    attempted = 0
+    for path in sorted(SRC.glob("*.py")):
+        result = doctest.testmod(importlib.import_module("mzv." + path.stem))
+        assert result.failed == 0, path.name
+        attempted += result.attempted
+    assert attempted == 7

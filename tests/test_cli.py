@@ -269,6 +269,24 @@ def test_stray_environment_values_are_not_read(monkeypatch, capsys):
     assert (code, out, err) == (0, "(1,1)\n", "")
 
 
+def test_stray_environment_values_do_not_reach_rank_table(monkeypatch, capsys):
+    monkeypatch.setenv("MZV_THREADS", "many")
+    monkeypatch.setenv("MZV_TRUNCATION", "1e6")
+    code, out, err = run(["rank-table", "--k-max", "3"], capsys)
+    monkeypatch.delenv("MZV_THREADS")
+    monkeypatch.delenv("MZV_TRUNCATION")
+    assert (code, err) == (0, "")
+    assert (code, out) == run(["rank-table", "--k-max", "3"], capsys)[:2]
+
+
+def test_threads_option_is_gone(capsys):
+    # nothing ran in parallel, so there is no --threads to parse
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["dual", "(2)", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -6,7 +6,9 @@ keys, fixed separators, one object per run, byte-stable for fixed inputs).
 Exit status: 0 all good, 1 a verification failed, 2 usage or parse error.
 
 ``verify`` refuses a ``--weight``, ``--grid`` or ``--pairs-up-to`` above the
-hard cap 20 up front.  Its ``--truncation`` (at least 1000) is validated and
+hard cap 20 up front, and ``verify theorem310`` a ``--weight`` and ``--grid``
+whose cost estimate ``2**weight * ((grid + 1)**2 + 15)`` exceeds
+``THEOREM310_COST``.  Its ``--truncation`` (at least 1000) is validated and
 not read, since ``verify numeric`` runs the certified evaluator; it stays so
 that batch drivers that pass it keep working.
 """
@@ -55,6 +57,8 @@ from .relations import (
 HARD_WEIGHT_CAP = 20
 #: the most stuffle-row entries ``rank-table`` builds for its highest weight
 MODULAR_ROW_ENTRIES = 2**24
+#: the largest ``verify theorem310`` cost ``2**weight * ((grid + 1)**2 + 15)`` it takes on
+THEOREM310_COST = 2**17
 
 OPS = {
     "tau": reverse,
@@ -161,7 +165,7 @@ def _emit_result(payload: dict, result, output: str) -> int:
 
 def cmd_apply(args) -> int:
     x = parse_combination(args.expr)
-    _refuse_large("apply " + args.op, sum(map(EXPANSION.get(args.op, lambda mu: 1), x._terms)))
+    _refuse_large("apply " + args.op, sum(map(EXPANSION.get(args.op, lambda mu: 1), x.support())))
     payload = {"command": "apply", "op": args.op, "input": format_combination(x)}
     return _emit_result(payload, OPS[args.op](x), args.output)
 
@@ -171,7 +175,7 @@ def cmd_product(args) -> int:
     b = parse_combination(args.b)
     # a pair with p and q parts has at most the Delannoy number D(p, q) terms
     _refuse_large("product " + args.kind,
-                  sum(_delannoy(len(mu), len(nu)) for mu in a._terms for nu in b._terms))
+                  sum(_delannoy(len(mu), len(nu)) for mu in a.support() for nu in b.support()))
     payload = {"command": "product", "kind": args.kind, "a": format_combination(a),
                "b": format_combination(b)}
     return _emit_result(payload, PRODUCTS[args.kind](a, b), args.output)
@@ -268,6 +272,12 @@ def _suite_identities(args) -> list[dict]:
 def _suite_theorem310(args) -> list[dict]:
     cap = args.weight
     grid = args.grid
+    # per index, the (grid+1)**2 difference table and grid-free work measured at about 15 cells
+    cost = 2**cap * ((grid + 1) ** 2 + 15)
+    if cost > THEOREM310_COST:
+        raise ValueError("verify theorem310: --weight %d with --grid %d costs 2**%d * (%d**2 + 15)"
+                         " = %d, above the limit %d"
+                         % (cap, grid, cap, grid + 1, cost, THEOREM310_COST))
     checks = []
     ok = True
     for w in range(1, cap + 1):

@@ -8,22 +8,25 @@ the dual index, and containment of mark sets gives the refinement order:
 ``mu`` refines ``nu`` when both have the same weight and every mark of ``nu``
 is a mark of ``mu``.
 
-The operators read the marks as an integer mask, bit ``s-1`` for mark ``s``:
-``dual`` XORs it with all ones, ``refine``/``coarsen`` sum over the submasks
-of the free bits, and each resulting mask is decoded to an index once.
+A :class:`Combination` stores every index as its mark key (:func:`_key`), the
+integer with bit ``s-1`` set for each partial sum ``s``, the weight included:
+phi is 0, ``bit_length()`` is the weight and ``bit_count()`` the length.
+Indices appear only where terms come in or go out, decoded once per key by
+the cached :func:`_index`.  On keys the operators are bit operations:
 
-On formal rational combinations of indices we provide the linear operators
+* ``reverse``      -- reverse the parts of every index (termwise on indices),
+* ``signed``       -- multiply each term by (-1)**length, the parity of ``bit_count()``,
+* ``dual``         -- complement the marks: XOR the bits below the top bit,
+* ``refine``       -- sum over the supersets of the marks below the top bit,
+* ``coarsen``      -- sum over the subsets of the marks,
+* ``raise_last``   -- ``k + top``, the top bit moved up one; phi becomes (1),
+* ``concat``       -- ``k | l << weight(k)``,
+* ``merge_concat`` -- the same after clearing ``k``'s top bit (unless ``l`` is phi),
 
-* ``reverse``   -- reverse the parts of every index,
-* ``signed``    -- multiply each index by (-1)**length,
-* ``refine``    -- replace each index by the sum of all its refinements,
-* ``coarsen``   -- replace each index by the sum of all its coarsenings,
-* ``dual``      -- complement the mark set,
-
-together with the concatenation family (``concat``, ``merge_concat``,
-``raise_last``, ``lower_last``) and weight-block splitting (``partition``).
-``refine_inv``/``coarsen_inv`` invert ``refine``/``coarsen``; conjugating by
-``signed`` does the trick, which is verified exhaustively in the tests.
+with ``lower_last``/``drop_last`` on bare indices and weight-block splitting
+(``partition``, a shifted window of the key).  ``refine_inv``/``coarsen_inv``
+invert ``refine``/``coarsen``; conjugating by ``signed`` does the trick,
+which is verified exhaustively in the tests.
 """
 
 from __future__ import annotations
@@ -119,22 +122,21 @@ def decode_subset(code: SubsetCode) -> MultiIndex:
     return MultiIndex(b - a for a, b in zip(cuts, cuts[1:]))
 
 
-def _mask(mu: MultiIndex) -> int:
-    """The marks of ``mu`` as an integer: bit ``s-1`` for mark ``s``."""
-    return sum(1 << (s - 1) for s in accumulate(mu[:-1]))
-
-
-def _key(mu: MultiIndex) -> int:
-    """``1 << (weight-1) | marks``: phi is 0, and a key's bit length is its weight."""
-    return _mask(mu) | 1 << sum(mu) >> 1
+def _key(mu) -> int:
+    """The mark key of the parts ``mu``: bit ``s-1`` for every partial sum ``s``."""
+    return sum(1 << s - 1 for s in accumulate(mu))
 
 
 @lru_cache(maxsize=1 << 15)
-def _unmask(m: int, mask: int) -> MultiIndex:
-    """The weight-``m`` index with the marks of ``mask``; phi for ``m = 0``."""
-    cuts = [0] + [s for s in range(1, m) if mask >> (s - 1) & 1] + [m]
-    # differences of increasing cuts are positive: no validation needed
-    return tuple.__new__(MultiIndex, [b - a for a, b in zip(cuts, cuts[1:])]) if m else PHI
+def _index(key: int) -> MultiIndex:
+    """The index whose mark key is ``key``."""
+    parts, last = [], 0
+    while key:
+        s = (key & -key).bit_length()
+        parts.append(s - last)
+        last, key = s, key & key - 1
+    # differences of increasing partial sums are positive: no validation needed
+    return tuple.__new__(MultiIndex, parts)
 
 
 def all_indices(weight: int) -> list[MultiIndex]:
@@ -144,17 +146,13 @@ def all_indices(weight: int) -> list[MultiIndex]:
     """
     if weight < 0:
         raise ValueError("weight must be >= 0")
-    if weight == 0:
-        return [PHI]
-    return sorted(_unmask(weight, mask) for mask in range(1 << (weight - 1)))
+    return sorted(map(_index, range(1 << weight >> 1, 1 << weight)))
 
 
 def refines(mu: IndexLike, nu: IndexLike) -> bool:
     """True when ``mu`` is a refinement of ``nu`` (same weight, finer cuts)."""
     mu, nu = as_index(mu), as_index(nu)
-    if mu.weight != nu.weight:
-        return False
-    return not mu or _mask(nu) & ~_mask(mu) == 0
+    return mu.weight == nu.weight and not _key(nu) & ~_key(mu)
 
 
 # ---------------------------------------------------------------------------
@@ -195,24 +193,25 @@ def _accumulate(data: dict, items, scale=1) -> dict:
 class Combination:
     """A finitely supported rational linear combination of multi-indices.
 
-    Supports ``+``, ``-``, scalar ``*`` and ``==``; iteration over
-    ``terms()`` is sorted by index, so string forms are canonical.
+    Terms are stored by mark key.  Supports ``+``, ``-``, scalar ``*`` and
+    ``==``; iteration over ``terms()`` is sorted by index, so string forms
+    are canonical.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        self._terms: dict[MultiIndex, Coeff] = {}
+        self._terms: dict[int, Coeff] = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
-            _accumulate(self._terms, ((as_index(mu), _coeff(c)) for mu, c in items))
+            _accumulate(self._terms, ((_key(as_index(mu)), _coeff(c)) for mu, c in items))
 
     @classmethod
     def term(cls, mu: IndexLike, coeff: Coeff = 1) -> "Combination":
         out = cls()
         coeff = _coeff(coeff)
         if coeff:
-            out._terms[as_index(mu)] = coeff
+            out._terms[_key(as_index(mu))] = coeff
         return out
 
     @classmethod
@@ -220,13 +219,13 @@ class Combination:
         return cls()
 
     def terms(self) -> list[tuple[MultiIndex, Coeff]]:
-        return sorted(self._terms.items())
+        return sorted((_index(k), c) for k, c in self._terms.items())
 
     def support(self) -> list[MultiIndex]:
-        return sorted(self._terms)
+        return sorted(map(_index, self._terms))
 
     def coefficient(self, mu: IndexLike) -> Coeff:
-        return self._terms.get(as_index(mu), 0)
+        return self._terms.get(_key(as_index(mu)), 0)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -265,7 +264,7 @@ class Combination:
         scalar = _coeff(Fraction(scalar) if not isinstance(scalar, (int, Fraction)) else scalar)
         out = Combination()
         if scalar:
-            out._terms = {mu: _coeff(scalar * c) for mu, c in self._terms.items()}
+            out._terms = {k: _coeff(scalar * c) for k, c in self._terms.items()}
         return out
 
     __rmul__ = __mul__
@@ -274,24 +273,24 @@ class Combination:
         """Linear extension: apply ``f`` (index -> index or Combination) termwise."""
         out = Combination()
         data = out._terms
-        for mu, c in self._terms.items():
-            image = f(mu)
+        for k, c in self._terms.items():
+            image = f(_index(k))
             if isinstance(image, Combination):
                 _accumulate(data, image._terms.items(), c)
             else:
-                _accumulate(data, ((as_index(image), c),))
+                _accumulate(data, ((_key(as_index(image)), c),))
         return out
 
     def homogeneous_weight(self) -> int:
         """The common weight of all terms; raises if mixed or zero."""
-        weights = set(map(sum, self._terms))
+        weights = {k.bit_length() for k in self._terms}
         if len(weights) != 1:
             raise ValueError("combination is not homogeneous of a single weight")
         return weights.pop()
 
     def max_length(self) -> int:
         """The largest number of parts over the support (0 for the zero element)."""
-        return max((len(mu) for mu in self._terms), default=0)
+        return max((k.bit_count() for k in self._terms), default=0)
 
     def __repr__(self) -> str:
         return format_combination(self)
@@ -305,10 +304,6 @@ def as_combination(x) -> Combination:
     raise TypeError("expected an index or combination, got %r" % (x,))
 
 
-def _lift(x, f) -> Combination:
-    return as_combination(x).map_terms(f)
-
-
 # ---------------------------------------------------------------------------
 # the index operators
 
@@ -317,26 +312,28 @@ def reverse(x):
     """Reverse the parts of every index (an involution)."""
     if isinstance(x, (MultiIndex, tuple, list)):
         return MultiIndex(reversed(as_index(x)))
-    return _lift(x, lambda mu: MultiIndex(reversed(mu)))
+    return as_combination(x).map_terms(lambda mu: MultiIndex(reversed(mu)))
 
 
 def signed(x) -> Combination:
     """Multiply every index by (-1)**length."""
     out = Combination()
-    out._terms = {mu: -c if len(mu) & 1 else c for mu, c in as_combination(x)._terms.items()}
+    out._terms = {k: -c if k.bit_count() & 1 else c for k, c in as_combination(x)._terms.items()}
+    return out
+
+
+def _rekey(x, f):
+    """Send the key ``k`` of an index, or of every term, to ``f(k)``; ``f`` is one-to-one."""
+    if isinstance(x, (MultiIndex, tuple, list)):
+        return _index(f(_key(as_index(x))))
+    out = Combination()
+    out._terms = {f(k): c for k, c in as_combination(x)._terms.items()}
     return out
 
 
 def dual(x):
     """Complement the mark set of every index; phi is self-dual."""
-    if isinstance(x, (MultiIndex, tuple, list)):
-        return _dual_index(as_index(x))
-    return _lift(x, _dual_index)
-
-
-def _dual_index(mu: MultiIndex) -> MultiIndex:
-    m = mu.weight
-    return _unmask(m, _mask(mu) ^ (1 << max(m - 1, 0)) - 1)
+    return _rekey(x, lambda k: k and k ^ (1 << k.bit_length() - 1) - 1)
 
 
 def refine(x) -> Combination:
@@ -350,16 +347,14 @@ def coarsen(x) -> Combination:
 
 
 def _submask_sum(x, refining: bool) -> Combination:
-    """Replace each index by the indices with marks ``fixed | sub`` for every
-    ``sub`` of ``free``: refining fixes the marks and frees the other bits,
-    coarsening fixes nothing and frees the marks; the sums are kept on
-    :func:`_key` keys."""
+    """Replace each key by the keys ``fixed | sub`` for every ``sub`` of
+    ``free``: refining fixes the key and frees the other bits below its top,
+    coarsening fixes the top bit and frees the marks."""
     acc = {}
     get = acc.get
-    for mu, c in as_combination(x)._terms.items():
-        top = 1 << mu.weight >> 1
-        mask = _mask(mu)
-        fixed, free = (top | mask, max(top - 1, 0) & ~mask) if refining else (top, mask)
+    for k, c in as_combination(x)._terms.items():
+        top = 1 << k.bit_length() >> 1
+        fixed, free = (k, max(top - 1, 0) & ~k) if refining else (top, k ^ top)
         sub = free
         while True:
             key = fixed | sub
@@ -367,14 +362,8 @@ def _submask_sum(x, refining: bool) -> Combination:
             if not sub:
                 break
             sub = (sub - 1) & free
-    return _from_keys(acc)
-
-
-def _from_keys(acc: dict) -> Combination:
-    """The non-zero terms of ``acc``, a dict over :func:`_key` keys, decoded once."""
     out = Combination()
-    out._terms = {_unmask(k.bit_length(), k ^ 1 << k.bit_length() >> 1): c
-                  for k, c in acc.items() if c}
+    out._terms = {k: c for k, c in acc.items() if c}
     return out
 
 
@@ -392,9 +381,19 @@ def coarsen_inv(x) -> Combination:
 # concatenation family
 
 
+def _bilinear(pair, x, y) -> Combination:
+    """The bilinear extension of ``pair``, which maps two keys to a dict over keys."""
+    right = as_combination(y)._terms.items()
+    out = Combination()
+    for k, c in as_combination(x)._terms.items():
+        for l, d in right:
+            _accumulate(out._terms, pair(k, l).items(), c * d)
+    return out
+
+
 def concat(x, y) -> Combination:
     """Concatenation, extended bilinearly; phi is the unit."""
-    return _join(x, y, lambda mu, nu: MultiIndex(mu + nu))
+    return _bilinear(lambda k, l: {k | l << k.bit_length(): 1}, x, y)
 
 
 def merge_concat(x, y) -> Combination:
@@ -403,31 +402,14 @@ def merge_concat(x, y) -> Combination:
     ``(a,..,b) merged with (c,..,d)`` is ``(a,..,b+c,..,d)``; phi acts as the
     unit here as well.
     """
-    return _join(x, y, _fuse)
-
-
-def _join(x, y, pair) -> Combination:
-    x, y = as_combination(x), as_combination(y)
-    out = Combination()
-    for mu, c in x._terms.items():
-        _accumulate(out._terms, ((pair(mu, nu), d) for nu, d in y._terms.items()), c)
-    return out
-
-
-def _fuse(mu: MultiIndex, nu: MultiIndex) -> MultiIndex:
-    if not mu:
-        return nu
-    if not nu:
-        return mu
-    return MultiIndex(mu[:-1] + (mu[-1] + nu[0],) + nu[1:])
+    # the top bit of k marks the end of its last part, which l's first part continues
+    return _bilinear(lambda k, l: {(k ^ 1 << k.bit_length() >> 1 if l else k)
+                                   | l << k.bit_length(): 1}, x, y)
 
 
 def raise_last(x):
     """Add 1 to the last part of every index; phi becomes (1)."""
-    if isinstance(x, (MultiIndex, tuple, list)):
-        mu = as_index(x)
-        return MultiIndex(mu[:-1] + (mu[-1] + 1,)) if mu else idx(1)
-    return _lift(x, raise_last)
+    return _rekey(x, lambda k: k + (1 << k.bit_length() >> 1) or 1)
 
 
 def lower_last(mu: IndexLike) -> MultiIndex:
@@ -477,25 +459,25 @@ def partition(mu: IndexLike, sizes: Iterable[int]) -> tuple[MultiIndex, ...]:
         raise ValueError(
             "block weights sum to %d but the index has weight %d" % (sum(sizes), mu.weight)
         )
-    # a block's marks are the marks strictly inside it, shifted down by its start
-    mask = _mask(mu)
+    # a block's key: the marks strictly inside it, shifted down by its start, and its top bit
+    key = _key(mu)
     blocks = []
     pos = 0
     for s in sizes:
-        blocks.append(_unmask(s, mask >> pos & (1 << max(s - 1, 0)) - 1))
+        blocks.append(_index((key >> pos | 1 << s >> 1) & (1 << s) - 1))
         pos += s
     return tuple(blocks)
 
 
 def assemble(mu: IndexLike, blocks: Iterable[IndexLike]) -> MultiIndex:
     """Rejoin :func:`partition` blocks of ``mu``, fusing parts split by cuts."""
-    mu = as_index(mu)
-    boundary = encode_subset(mu).marks | {0, mu.weight} if mu else {0}
+    key = _key(as_index(mu))
     out = PHI
     pos = 0
     for block in blocks:
         block = as_index(block)
-        joined = concat(out, block) if pos in boundary else merge_concat(out, block)
+        # a cut at 0 or at a partial sum of mu falls between parts
+        joined = concat(out, block) if not pos or key >> pos - 1 & 1 else merge_concat(out, block)
         (out,) = joined.support()
         pos += block.weight
     return out

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .indices import MultiIndex, _mask, _unmask, as_combination, coarsen, format_index, raise_last
+from .indices import MultiIndex, _index, _key, as_combination, coarsen, format_index, raise_last
 
 DEFAULT_TRUNCATION = 10**6
 #: Fixed-point bits of the certified 1/2-series, and the default tolerance of its verdicts.
@@ -46,7 +46,9 @@ CERTIFIED_BITS, CERTIFIED_TOL = 120, 1e-30
 @dataclass(frozen=True)
 class MzvEstimate:
     """A value and its error: a proven bound after ``truncation`` series terms, with the
-    exact ``(value, bound)`` in ``exact``, or the doubling bar of sums truncated at ``N``."""
+    exact ``(value, bound)`` in ``exact``, or the doubling bar of sums truncated at ``N``.
+    There ``truncation`` reports ``N``, though the sums run over chain positions
+    ``1..N+1`` and the half sums over ``1..N//2+1`` (:func:`_chain_partials`)."""
 
     value: float
     err: float
@@ -92,7 +94,8 @@ def _exact_sum(t) -> int:
 
 @lru_cache(maxsize=256)
 def _chain_partials(mu: MultiIndex, N: int) -> tuple:
-    """(sum to N, sum to N//2) of the strict chains of a bare index, block by block.
+    """The strict chain sums of a bare index over the positions ``1..N+1`` and
+    ``1..N//2+1``, block by block: one position past ``N`` and ``N // 2``.
 
     A level per part: its terms are ``x**-part`` times the running sum of the
     level below over the positions strictly before, carried across blocks.
@@ -170,13 +173,16 @@ def _half_series(nu: MultiIndex, bits: int) -> tuple:
 @lru_cache(maxsize=1 << 10)
 def _holder(mu: MultiIndex, bits: int) -> tuple:
     """``(V, E, M)`` with ``|4**bits * zeta(mu) - V| <= E``: a sum over the cuts of its word."""
-    m, word = mu.weight, _mask(mu) << 1 | 1  # bit i: the letter i + 1 from 0, x1 when set
+    m = mu.weight
+    word = (_key(mu) << 1 | 1) ^ 1 << m  # bit i: the letter i + 1 from 0, x1 when set
     V = E = M = 0
     for cut in range(m + 1):
-        top = m - cut  # the letters above the cut, reversed and complemented, and those below
+        # the letters above the cut, reversed and complemented, and those below; the
+        # marks of a weight-n word are its bits 1..n-1, and its key adds bit n-1
+        top = m - cut
         dual = int(format(word >> cut, "b").zfill(top)[::-1], 2) ^ ((1 << top) - 1)
-        a, ea, ma = _half_series(_unmask(top, dual >> 1), bits)
-        b, eb, mb = _half_series(_unmask(cut, (word & ((1 << cut) - 1)) >> 1), bits)
+        a, ea, ma = _half_series(_index(dual >> 1 | 1 << top >> 1), bits)
+        b, eb, mb = _half_series(_index((word & (1 << cut) - 1) >> 1 | 1 << cut >> 1), bits)
         V, E, M = V + a * b, E + a * eb + b * ea + ea * eb, max(M, ma, mb)
     return V, E, M
 

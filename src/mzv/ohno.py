@@ -28,7 +28,9 @@ from .indices import (
     Combination,
     MultiIndex,
     _accumulate,
-    _mask,
+    _bilinear,
+    _index,
+    _key,
     as_combination,
     as_index,
     concat,
@@ -45,30 +47,22 @@ from .products import stuffle
 
 
 @lru_cache(maxsize=None)
-def _ohno_pair(label: MultiIndex, nu: MultiIndex) -> Combination:
-    if not label:
-        return Combination.term(nu)
-    if len(label) > len(nu):
-        return Combination.zero()
-    out = Combination()
-    data = out._terms
-    for positions in itertools.combinations(range(len(nu)), len(label)):
-        parts = list(nu)
-        for part, pos in zip(label, positions):
-            parts[pos] += part
-        key = MultiIndex(parts)
-        data[key] = data.get(key, 0) + 1
+def _ohno_pair(label: int, key: int) -> dict:
+    """The shift of the index with mark key ``key`` by the label with key ``label``."""
+    parts, nu = _index(label), _index(key)
+    out = {}
+    for positions in itertools.combinations(range(len(nu)), len(parts)):
+        shifted = list(nu)
+        for part, pos in zip(parts, positions):
+            shifted[pos] += part
+        k = _key(shifted)
+        out[k] = out.get(k, 0) + 1
     return out
 
 
 def ohno_apply(label, x) -> Combination:
     """Add the label's parts at increasing positions, all ways; bilinear."""
-    label, x = as_combination(label), as_combination(x)
-    out = Combination()
-    for lmu, c in label._terms.items():
-        for nu, d in x._terms.items():
-            _accumulate(out._terms, _ohno_pair(lmu, nu)._terms.items(), c * d)
-    return out
+    return _bilinear(_ohno_pair, label, x)
 
 
 def ohno_bar_apply(label, x) -> Combination:
@@ -88,8 +82,9 @@ def ohno_u(r: int, x) -> Combination:
     if r < 0:
         raise ValueError("the shift amount must be >= 0")
     out = Combination()
-    for nu, c in as_combination(x)._terms.items():
-        _accumulate(out._terms, ((tuple.__new__(MultiIndex, map(add, nu, e)), c)
+    for k, c in as_combination(x)._terms.items():
+        nu = _index(k)
+        _accumulate(out._terms, ((_key(map(add, nu, e)), c)
                                  for e in _weak_compositions(r, len(nu))))
     return out
 
@@ -160,8 +155,8 @@ def _list_split_sum(r: int, mu, allow_empty_init: bool, allow_empty_last: bool, 
 
 def _nonboundary_cut_positions(mu: MultiIndex) -> list[int]:
     """0 and the weight positions strictly inside a part of ``mu``."""
-    mask = _mask(mu)
-    return [0] + [c for c in range(1, mu.weight) if not mask >> (c - 1) & 1]
+    key = _key(mu)
+    return [0] + [c for c in range(1, mu.weight) if not key >> (c - 1) & 1]
 
 
 def _weight_split_sum(r: int, mu, cut_positions) -> Combination:

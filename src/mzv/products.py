@@ -1,11 +1,12 @@
 """The harmonic product of multi-indices and its relatives.
 
 ``stuffle(x, y)`` is the commutative product obtained by interleaving the two
-part lists while optionally adding one part of each side.  ``_stuffle``
-recurses on the last parts over mark keys ``1 << (w-1) | marks`` (phi is 0):
-dropping the last part clears the top bit, appending the part that makes
-weight ``w`` sets bit ``w-1``, and each product is decoded once.  It and
-``_stuffle_bar`` keep every pair product they meet until
+part lists while optionally adding one part of each side.  Every product here
+works on the mark keys of :mod:`mzv.indices` (bit ``s-1`` for each partial
+sum ``s``; phi is 0) through its one bilinear helper, so a product is never
+decoded.  ``_stuffle`` recurses on the last parts: dropping the last part
+clears the top bit, and appending the part that makes weight ``w`` sets bit
+``w-1``.  It and ``_stuffle_bar`` keep every key-pair product they meet until
 :func:`stuffle_cache_clear`.  :func:`enumerate_stuffle` is the slow oracle.
 
 ``stuffle_bar`` is not a second product but the length-sign twist of the
@@ -15,8 +16,9 @@ parts flip sign (Hoffman, "Quasi-shuffle products", 2000).
 
 ``circ``/``circ_bar`` fuse the last parts after multiplying the rest:
 ``circ(mu, nu) = concat(stuffle(mu', nu'), (a+b,))`` where ``a``, ``b`` are
-the last parts and the primes drop them; ``circ_bar`` uses ``stuffle_bar``
-for the head, so it is the sign twist
+the last parts and the primes drop them: on keys, a head is the key without
+its top bit, and the fused part sets the bit of the total weight.
+``circ_bar`` uses ``stuffle_bar`` for the head, so it is the sign twist
 ``circ_bar(x, y) = -signed(circ(signed(x), signed(y)))``.  These are the
 products satisfied by the single-step tails of the finite harmonic sums,
 hence their role next to the full products of the running sums.
@@ -26,17 +28,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .indices import (
-    Combination,
-    MultiIndex,
-    _accumulate,
-    _from_keys,
-    _key,
-    as_combination,
-    as_index,
-    concat,
-    signed,
-)
+from .indices import Combination, MultiIndex, _accumulate, _bilinear, as_combination, as_index
 
 
 class StuffleMatrix:
@@ -128,19 +120,18 @@ def _stuffle(k: int, l: int) -> dict:
     return out
 
 
+def _stuffle_keys(k: int, l: int) -> dict:
+    """The product of the mark keys ``k`` and ``l`` in either order."""
+    return _stuffle(k, l) if k <= l else _stuffle(l, k)
+
+
 @lru_cache(maxsize=None)
-def _stuffle_bar(mu: MultiIndex, nu: MultiIndex) -> Combination:
-    # signed(stuffle(signed(mu), signed(nu))) for bare indices
-    return (-1) ** (len(mu) + len(nu)) * signed(stuffle(mu, nu))
-
-
-def _bilinear(pairfn, x, y) -> Combination:
-    x, y = as_combination(x), as_combination(y)
-    out = Combination()
-    for mu, c in x._terms.items():
-        for nu, d in y._terms.items():
-            _accumulate(out._terms, pairfn(mu, nu)._terms.items(), c * d)
-    return out
+def _stuffle_bar(k: int, l: int) -> dict:
+    """The signed product of the keys: each term of ``_stuffle_keys(k, l)`` times
+    ``(-1)**(len(mu) + len(nu) - len(term))``."""
+    parity = k.bit_count() + l.bit_count()
+    return {key: -c if key.bit_count() + parity & 1 else c
+            for key, c in _stuffle_keys(k, l).items()}
 
 
 def stuffle(x, y) -> Combination:
@@ -149,12 +140,7 @@ def stuffle(x, y) -> Combination:
     >>> stuffle((1,), (1,))
     2*(1,1) + (2)
     """
-    left, right = ([(_key(mu), c) for mu, c in as_combination(z)._terms.items()] for z in (x, y))
-    acc = {}
-    for k, c in left:
-        for l, d in right:
-            _accumulate(acc, (_stuffle(k, l) if k <= l else _stuffle(l, k)).items(), c * d)
-    return _from_keys(acc)
+    return _bilinear(_stuffle_keys, x, y)
 
 
 def stuffle_bar(x, y) -> Combination:
@@ -169,10 +155,13 @@ def stuffle_bar(x, y) -> Combination:
 def _circ(name: str, head, x, y) -> Combination:
     """Bilinear 'multiply the heads with ``head``, then fuse the last parts'."""
 
-    def pair(mu: MultiIndex, nu: MultiIndex) -> Combination:
-        if not mu or not nu:
+    def pair(k: int, l: int) -> dict:
+        if not k or not l:
             raise ValueError("%s requires non-empty indices" % name)
-        return concat(head(MultiIndex(mu[:-1]), MultiIndex(nu[:-1])), (mu[-1] + nu[-1],))
+        # a head key is k without its top bit; the fused part ends at the total weight
+        top = 1 << k.bit_length() + l.bit_length() - 1
+        heads = head(k ^ 1 << k.bit_length() - 1, l ^ 1 << l.bit_length() - 1)
+        return {key | top: c for key, c in heads.items()}
 
     return _bilinear(pair, x, y)
 
@@ -187,7 +176,7 @@ def circ(x, y) -> Combination:
     >>> circ((1,), (1, 1))
     (1,2)
     """
-    return _circ("circ", stuffle, x, y)
+    return _circ("circ", _stuffle_keys, x, y)
 
 
 def circ_bar(x, y) -> Combination:

@@ -41,7 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .indices import Combination, _accumulate, all_indices, as_combination
+from .indices import Combination, _accumulate, _key, all_indices, as_combination
 
 
 class RelationMatrix:
@@ -50,7 +50,7 @@ class RelationMatrix:
     def __init__(self, weight: int, rows):
         self.weight = int(weight)
         self.columns = all_indices(self.weight)
-        self._colpos = {mu: j for j, mu in enumerate(self.columns)}
+        self._colpos = {_key(mu): j for j, mu in enumerate(self.columns)}
         self.rows: list[Combination] = []
         self._integer: list[tuple[dict, int]] = []
         for row in rows:
@@ -83,9 +83,9 @@ class RelationMatrix:
         """``den * x`` as an integer dict over column positions, and ``den``."""
         colpos = self._colpos
         if all(type(c) is int for c in x._terms.values()):
-            return {colpos[mu]: c for mu, c in x._terms.items()}, 1
+            return {colpos[k]: c for k, c in x._terms.items()}, 1
         den = lcm(*(c.denominator for c in x._terms.values()))
-        return {colpos[mu]: c.numerator * (den // c.denominator) for mu, c in x._terms.items()}, den
+        return {colpos[k]: c.numerator * (den // c.denominator) for k, c in x._terms.items()}, den
 
     # -- elimination and membership ------------------------------------------
 
@@ -110,7 +110,7 @@ class RelationMatrix:
         re-verified before returning.
         """
         x = as_combination(x)
-        if any(mu not in self._colpos for mu in x._terms):
+        if any(k not in self._colpos for k in x._terms):
             return None
         echelon = self._echelon_form()
         vec, den = self._integer_row(x)
@@ -132,7 +132,7 @@ class RelationMatrix:
                 numerators[source] = n = c * source_scale
                 _accumulate(check, self.rows[source]._terms.items(), n)
                 _accumulate(multiples, earlier.items(), -c)
-        if check != {mu: total * c for mu, c in x._terms.items()}:
+        if check != {k: total * c for k, c in x._terms.items()}:
             raise AssertionError("membership certificate failed re-verification")
         coeffs = [Fraction(0)] * self.nrows
         for i, n in numerators.items():

@@ -253,6 +253,28 @@ def test_grid_at_the_hard_cap_still_runs(capsys):
     assert (code, out.splitlines()[-1]) == (0, "2 checks, all passed")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--weight", "10", "--grid", "20"],
+     "--weight 10 with --grid 20 costs 2**10 * (21**2 + 15) = 466944, above the limit 131072"),
+    (["--weight", "20"],
+     "--weight 20 with --grid 6 costs 2**20 * (7**2 + 15) = 67108864, above the limit 131072"),
+    (["--weight", "9", "--grid", "20"],
+     "--weight 9 with --grid 20 costs 2**9 * (21**2 + 15) = 233472, above the limit 131072"),
+    (["--weight", "14", "--grid", "0"],
+     "--weight 14 with --grid 0 costs 2**14 * (1**2 + 15) = 262144, above the limit 131072"),
+])
+def test_theorem310_refuses_a_weight_and_grid_it_cannot_finish_up_front(argv, message):
+    # each of these ran past 60 s before the guard
+    proc = _run_with_timeout(["verify", "theorem310", *argv])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "mzv: verify theorem310: " + message + "\n"
+
+
+def test_theorem310_defaults_still_run(capsys):
+    code, out, _ = run(["verify", "theorem310"], capsys)
+    assert (code, out.splitlines()[-1]) == (0, "2 checks, all passed")
+
+
 def test_verify_least_weights_run_checks(capsys):
     for suite, weight in [("duality", 2), ("ohno", 3), ("identities", 2), ("theorem310", 1)]:
         code, out, _ = run(["verify", suite, "--weight", str(weight), "--grid", "0"], capsys)

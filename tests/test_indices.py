@@ -9,6 +9,8 @@ from mzv.indices import (
     Combination,
     MultiIndex,
     SubsetCode,
+    _index,
+    _key,
     all_indices,
     as_combination,
     assemble,
@@ -282,7 +284,7 @@ def _oracle_refinements(mu):
     for r in range(len(free) + 1):
         for extra in itertools.combinations(free, r):
             nu = decode_subset(SubsetCode(m, marks | frozenset(extra)))
-            out._terms[nu] = 1
+            out += Combination.term(nu)
     return out
 
 
@@ -295,7 +297,7 @@ def _oracle_coarsenings(mu):
     for r in range(len(marks) + 1):
         for kept in itertools.combinations(marks, r):
             nu = decode_subset(SubsetCode(m, frozenset(kept)))
-            out._terms[nu] = 1
+            out += Combination.term(nu)
     return out
 
 
@@ -373,6 +375,50 @@ def test_mark_mask_operators_on_mixed_combinations():
     assert refine(Combination.term((1, 2)) + Combination.term((1, 1, 1), -1)) == Combination(
         [((1, 2), 1)]
     )
+
+
+# -- the mark keys that combinations store ------------------------------------
+
+
+def _weighted_pairs(total):
+    # every pair of indices, phi on either side included, of total weight <= total
+    pool = [mu for w in range(total + 1) for mu in all_indices(w)]
+    return [(mu, nu) for mu in pool for nu in pool if mu.weight + nu.weight <= total]
+
+
+def test_mark_keys_decode_and_read_weight_and_length():
+    for w in range(0, 13):
+        for mu in all_indices(w):
+            k = _key(mu)
+            assert _index(k) == mu and type(_index(k)) is MultiIndex
+            assert (k.bit_length(), k.bit_count()) == (w, len(mu))
+
+
+def test_concatenations_on_keys_match_the_tuple_definitions():
+    for mu, nu in _weighted_pairs(8):
+        fused = mu[:-1] + (mu[-1] + nu[0],) + nu[1:] if mu and nu else mu + nu
+        assert concat(mu, nu) == Combination.term(mu + nu), (mu, nu)
+        assert merge_concat(mu, nu) == Combination.term(fused), (mu, nu)
+
+
+def test_key_operators_on_a_mixed_combination_match_the_termwise_index_operators():
+    rng = random.Random(14)
+    pool = [mu for w in range(1, 8) for mu in all_indices(w)]
+    for _ in range(60):
+        x = Combination([(PHI, Fraction(5, 7))] + [
+            (rng.choice(pool), Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 12))
+        ])
+        terms = x.terms()
+        assert terms[0] == (PHI, Fraction(5, 7))
+
+        def termwise(f):
+            return Combination((f(mu), c) for mu, c in terms)
+
+        assert raise_last(x) == termwise(lambda mu: mu[:-1] + (mu[-1] + 1,) if mu else (1,))
+        assert dual(x) == termwise(_oracle_dual_index)
+        assert reverse(x) == termwise(lambda mu: mu[::-1])
+        assert signed(x) == Combination((mu, (-1) ** len(mu) * c) for mu, c in terms)
 
 
 def test_kawashima_basis_matches_the_oracle_built_rows():

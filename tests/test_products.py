@@ -223,6 +223,20 @@ def test_circ_fuses_last_parts():
         )
 
 
+def test_circ_on_keys_matches_the_tuple_definition():
+    # every non-empty pair of total weight <= 8: the matrix-sum product of the
+    # heads, each term with the fused last part appended
+    pool = [mu for w in range(1, 8) for mu in all_indices(w)]
+    for mu in pool:
+        for nu in pool:
+            if mu.weight + nu.weight > 8:
+                continue
+            fused = (mu[-1] + nu[-1],)
+            for product, head in (circ, stuffle_via_matrices), (circ_bar, stuffle_bar_via_matrices):
+                want = Combination((term + fused, c) for term, c in head(mu[:-1], nu[:-1]).terms())
+                assert product(mu, nu) == want, (product.__name__, mu, nu)
+
+
 def test_circ_with_single_one_raises_last():
     for w in range(1, 7):
         for mu in all_indices(w):

@@ -338,7 +338,7 @@ def _assert_rank_mod_matches_the_oracle(weight, rows):
     for order in (list, lambda rows: sorted(rows, key=len), lambda rows: rows[::-1]):
         matrix = RelationMatrix(weight, order(rows))
         colpos = {mu: j for j, mu in enumerate(matrix.columns)}
-        primitive = [_primitive({colpos[mu]: c for mu, c in row._terms.items()})
+        primitive = [_primitive({colpos[mu]: c for mu, c in row.terms()})
                      for row in matrix.rows]
         assert matrix.modular_rank() == _masked_rank_mod(primitive, matrix.ncols, 2)
 
@@ -348,7 +348,7 @@ def _assert_matches_the_oracles(weight, rows, targets):
     colpos = {mu: j for j, mu in enumerate(matrix.columns)}
 
     def sparse(x):
-        return {colpos[mu]: c for mu, c in x._terms.items()}
+        return {colpos[mu]: c for mu, c in x.terms()}
 
     fraction_rows = [sparse(row) for row in matrix.rows]
     echelon = _fraction_echelon(fraction_rows)

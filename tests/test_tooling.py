@@ -21,6 +21,25 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def test_no_unused_imports_in_package():
+    # every name a module imports is read somewhere in it; __init__ re-exports
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [
+            "%s:%d %s" % (path.name, node.lineno, name)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for name in ((a.asname or a.name).split(".")[0] for a in node.names)
+            if name not in read
+        ]
+    assert found == []
+
+
 def test_benchmark_self_check():
     # the benchmark's tracer hooks functions by name; its self-check fails on a
     # hook that no longer fires or a command whose output changed

@@ -32,7 +32,6 @@ from .indices import (
     signed,
 )
 from .products import (
-    StuffleMatrix,
     circ,
     circ_bar,
     enumerate_stuffle,

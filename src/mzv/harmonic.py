@@ -9,8 +9,9 @@ For a multi-index ``mu = (mu_1, .., mu_p)`` the building blocks are
 all with exact ``Fraction`` values on ``0..horizon`` and extended linearly to
 combinations.  :class:`RationalSequence` carries the finite-difference
 toolkit: ``delta`` (forward difference ``a(n) - a(n+1)``), ``shift``, and the
-binomial transform ``nabla``, which is an involution interchanging rows and
-columns of the difference table.
+binomial transform ``nabla``.  Both read the difference table, row ``k`` being
+``delta**k a``: ``nabla`` is its top edge ``(nabla a)(n) = (delta**n a)(0)``,
+an involution interchanging the table's rows and columns.
 
 ``seq_s2`` evaluates the two-parameter normalised sum attached to a pair of
 equal-weight indices: both chains are run simultaneously, each of the
@@ -26,8 +27,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import comb
+from operator import sub
 
 from .indices import MultiIndex, as_combination, as_index
 
@@ -41,7 +43,7 @@ class RationalSequence:
     __slots__ = ("values",)
 
     def __init__(self, values):
-        self.values = tuple(Fraction(v) for v in values)
+        self.values = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
         if not self.values:
             raise ValueError("a sequence needs at least the value at 0")
 
@@ -95,24 +97,25 @@ class RationalSequence:
             raise ValueError("cannot shift past the horizon")
         return RationalSequence(self.values[k:])
 
+    def _rows(self):
+        """The rows of the difference table: ``a``, ``delta a``, ``delta**2 a``, .."""
+        row = self.values
+        while row:
+            yield row
+            row = tuple(map(sub, row, row[1:]))
+
     def delta(self, k: int = 1) -> "RationalSequence":
         """The k-fold difference n -> a(n) - a(n+1); horizon shrinks by k."""
         if k < 0 or k > self.horizon:
             raise ValueError("cannot difference past the horizon")
-        vals = self.values
-        for _ in range(k):
-            vals = tuple(a - b for a, b in zip(vals, vals[1:]))
-        return RationalSequence(vals)
+        return RationalSequence(next(islice(self._rows(), k, None)))
 
     def nabla(self) -> "RationalSequence":
-        """Binomial transform n -> sum((-1)**k C(n,k) a(k), k=0..n)."""
-        return RationalSequence(
-            sum((-1) ** k * comb(n, k) * self.values[k] for k in range(n + 1))
-            for n in range(len(self.values))
-        )
+        """Binomial transform n -> (delta**n a)(0), the top edge of the difference table."""
+        return RationalSequence(row[0] for row in self._rows())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 15)
 def _chain_values(mu: MultiIndex, horizon: int, strict: bool) -> tuple:
     """Values of the chain sum for a bare index on 0..horizon."""
     if not mu:

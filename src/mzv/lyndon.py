@@ -78,7 +78,7 @@ def dimension_formula(k: int) -> int:
     return 2 ** (k - 1) - psi2(k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 7)
 def _zagier(k: int) -> int:
     if k <= 3:
         return 1

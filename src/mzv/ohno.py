@@ -46,7 +46,7 @@ from .indices import (
 from .products import stuffle
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def _ohno_pair(label: int, key: int) -> dict:
     """The shift of the index with mark key ``key`` by the label with key ``label``."""
     parts, nu = _index(label), _index(key)
@@ -70,7 +70,7 @@ def ohno_bar_apply(label, x) -> Combination:
     return dual(ohno_apply(label, dual(x)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 10)
 def _weak_compositions(r: int, q: int) -> list[tuple[int, ...]]:
     """Every way to write ``r`` as an ordered sum of ``q`` parts ``>= 0``."""
     picks = itertools.combinations_with_replacement(range(q), r)

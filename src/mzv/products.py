@@ -7,7 +7,9 @@ sum ``s``; phi is 0) through its one bilinear helper, so a product is never
 decoded.  ``_stuffle`` recurses on the last parts: dropping the last part
 clears the top bit, and appending the part that makes weight ``w`` sets bit
 ``w-1``.  It and ``_stuffle_bar`` keep every key-pair product they meet until
-:func:`stuffle_cache_clear`.  :func:`enumerate_stuffle` is the slow oracle.
+:func:`stuffle_cache_clear`.  The slow oracle is Hoffman's definition:
+:func:`enumerate_stuffle` lists the two-row matrices as tuples of ``(top,
+bottom)`` columns, and the ``*_via_matrices`` sums read their column sums.
 
 ``stuffle_bar`` is not a second product but the length-sign twist of the
 first: ``stuffle_bar(x, y) = signed(stuffle(signed(x), signed(y)))``, so every
@@ -28,52 +30,15 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .indices import Combination, MultiIndex, _accumulate, _bilinear, as_combination, as_index
+from .indices import Combination, _accumulate, _bilinear, _key, as_combination, as_index
 
 
-class StuffleMatrix:
-    """A two-row interleaving pattern: columns are (top, bottom) pairs.
-
-    No column is (0, 0); deleting zeros from the top row recovers the left
-    factor and from the bottom row the right factor.  The product term of the
-    matrix is the tuple of column sums.
-    """
-
-    __slots__ = ("columns",)
-
-    def __init__(self, columns):
-        self.columns = tuple((int(a), int(b)) for a, b in columns)
-        if any(a == 0 and b == 0 for a, b in self.columns):
-            raise ValueError("a stuffle matrix has no zero column")
-
-    @property
-    def width(self) -> int:
-        return len(self.columns)
-
-    def top(self) -> MultiIndex:
-        return MultiIndex(a for a, _ in self.columns if a)
-
-    def bottom(self) -> MultiIndex:
-        return MultiIndex(b for _, b in self.columns if b)
-
-    def term(self) -> MultiIndex:
-        return MultiIndex(a + b for a, b in self.columns)
-
-    def __eq__(self, other):
-        return isinstance(other, StuffleMatrix) and self.columns == other.columns
-
-    def __hash__(self):
-        return hash(self.columns)
-
-    def __repr__(self):
-        return "StuffleMatrix(%r)" % (list(self.columns),)
-
-
-def enumerate_stuffle(mu, nu) -> list[StuffleMatrix]:
+def enumerate_stuffle(mu, nu) -> list[tuple[tuple[int, int], ...]]:
     """All interleaving matrices with top row ``mu`` and bottom row ``nu``.
 
-    The count is the Delannoy-style number D(len(mu), len(nu)); this is the
-    slow reference path for the products below.
+    Each is a tuple of ``(top, bottom)`` columns, none ``(0, 0)``: the non-zero
+    tops read ``mu``, the non-zero bottoms ``nu``, and the column sums are the
+    product term.  There are D(len(mu), len(nu)) of them (Delannoy).
     """
     mu, nu = as_index(mu), as_index(nu)
 
@@ -90,21 +55,27 @@ def enumerate_stuffle(mu, nu) -> list[StuffleMatrix]:
             out += [cols + ((mu[i - 1], nu[j - 1]),) for cols in rec(i - 1, j - 1)]
         return out
 
-    return [StuffleMatrix(cols) for cols in rec(len(mu), len(nu))]
+    return rec(len(mu), len(nu))
+
+
+def _matrix_sum(mu, nu, sign) -> Combination:
+    """The sum over the matrices of ``sign(width)`` at the key of the column sums."""
+    out = Combination()
+    _accumulate(out._terms, ((_key(a + b for a, b in cols), sign(len(cols)))
+                             for cols in enumerate_stuffle(mu, nu)))
+    return out
 
 
 def stuffle_via_matrices(mu, nu) -> Combination:
     """Reference implementation of :func:`stuffle` on two bare indices."""
-    return Combination((h.term(), 1) for h in enumerate_stuffle(mu, nu))
+    return _matrix_sum(mu, nu, lambda width: 1)
 
 
 def stuffle_bar_via_matrices(mu, nu) -> Combination:
-    """Reference implementation of :func:`stuffle_bar` on two bare indices."""
-    mu, nu = as_index(mu), as_index(nu)
+    """Reference implementation of :func:`stuffle_bar` on two bare indices: a
+    matrix of width w has ``len(mu) + len(nu) - w`` merged columns, each a sign."""
     total = len(mu) + len(nu)
-    return Combination(
-        (h.term(), (-1) ** (total - h.width)) for h in enumerate_stuffle(mu, nu)
-    )
+    return _matrix_sum(mu, nu, lambda width: (-1) ** (total - width))
 
 
 @lru_cache(maxsize=None)

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from mzv import cli
+from mzv import cli, products
+from mzv.harmonic import seq_s2
+from mzv.indices import Combination
 from mzv.relations import stuffle_rows
 
 
@@ -173,6 +175,39 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_theorem310_fails_on_one_wrong_cell_of_the_two_chain_sums(capsys, monkeypatch):
+    # the last cell of the last row: a walk that stopped short would miss it
+    def planted(mu, nu, n, k):
+        value = seq_s2(mu, nu, n, k)
+        return value + 1 if (mu, n, k) == ((1, 2), 3, 3) else value
+
+    monkeypatch.setattr(cli, "seq_s2", planted)
+    code, out, _ = run(["verify", "theorem310", "--weight", "3", "--grid", "3"], capsys)
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL difference table matches two-chain sums (weight <= 3)",
+        "ok   binomial transform sends chains to dual chains",
+        "2 checks, FAILURES",
+    ]
+
+
+def test_identities_fail_on_a_matrix_sum_missing_one_term(capsys, monkeypatch):
+    matrix_sum = products.stuffle_via_matrices
+
+    def planted(mu, nu):
+        out = matrix_sum(mu, nu)
+        if (mu, nu) == ((1, 1), (1, 1)):
+            first = out.support()[0]
+            out = out - Combination.term(first, out.coefficient(first))
+        return out
+
+    monkeypatch.setattr(products, "stuffle_via_matrices", planted)
+    code, out, _ = run(["verify", "identities", "--weight", "4"], capsys)
+    assert code == 1
+    assert "FAIL stuffle recursion matches matrix sum (total <= 4)" in out.splitlines()
+    assert sum(line.startswith("FAIL") for line in out.splitlines()) == 1
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run(["dual", "(1,2"], capsys)
     assert code == 2
@@ -273,6 +308,48 @@ def test_theorem310_refuses_a_weight_and_grid_it_cannot_finish_up_front(argv, me
 def test_theorem310_defaults_still_run(capsys):
     code, out, _ = run(["verify", "theorem310"], capsys)
     assert (code, out.splitlines()[-1]) == (0, "2 checks, all passed")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["identities", "--weight", "13"], "--weight must be <= 12 for the identities suite"),
+    (["duality", "--weight", "11"], "--weight must be <= 10 for the duality suite"),
+    (["ohno", "--weight", "11"], "--weight must be <= 10 for the ohno suite"),
+    (["numeric", "--pairs-up-to", "12"], "--pairs-up-to must be <= 11 for the numeric suite"),
+])
+def test_verify_refuses_a_weight_above_its_suite_limit_up_front(argv, message, capsys,
+                                                                monkeypatch):
+    # each of these ran past 60 s before the limit
+    def no_work(args):
+        raise AssertionError("the suite ran")
+
+    monkeypatch.setitem(cli.SUITES, argv[0], no_work)
+    assert run(["verify", *argv], capsys) == (2, "", "mzv: " + message + "\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["identities", "--weight", "12"],
+    ["duality", "--weight", "10"],
+    ["ohno", "--weight", "10"],
+    ["numeric", "--pairs-up-to", "11"],
+    ["theorem310", "--weight", "13", "--grid", "0"],
+])
+def test_verify_admits_each_suite_limit(argv, capsys, monkeypatch):
+    monkeypatch.setitem(cli.SUITES, argv[0], lambda args: [{"name": "stub", "pass": True}])
+    assert run(["verify", *argv], capsys) == (0, "ok   stub\n1 checks, all passed\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    # the defaults (duality's and ohno's are the benchmark's weights, and
+    # theorem310's have their own test), then the benchmark's other commands
+    ["identities"], ["duality"], ["ohno"], ["numeric"],
+    ["numeric", "--pairs-up-to", "5", "--truncation", "1000000"],
+    ["identities", "--weight", "8"],
+    ["theorem310", "--weight", "6"],
+])
+def test_verify_defaults_and_benchmark_commands_still_run(argv, capsys):
+    code, out, err = run(["verify", *argv], capsys)
+    assert (code, err) == (0, "")
+    assert out.endswith(" checks, all passed\n")
 
 
 def test_verify_least_weights_run_checks(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -160,6 +161,22 @@ def test_difference_and_inversion_basics():
         assert nab[k] == expected
     # inversion is an involution
     assert a.nabla().nabla().values == a.values
+
+
+def _binomial_transform(values):
+    # the signed binomial sums nabla was once computed by, kept as its reference
+    return [sum((-1) ** k * math.comb(n, k) * values[k] for k in range(n + 1))
+            for n in range(len(values))]
+
+
+def test_nabla_matches_the_binomial_formula_on_random_sequences():
+    rng = random.Random(310)
+    for length in range(1, 16):
+        for _ in range(4):
+            a = RationalSequence(Fraction(rng.randint(-50, 50), rng.randint(1, 30))
+                                 for _ in range(length))
+            assert list(a.nabla().values) == _binomial_transform(a.values), a
+            assert a.nabla().nabla() == a
 
 
 def test_inversion_swaps_difference_directions():

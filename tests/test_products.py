@@ -17,6 +17,7 @@ from mzv.indices import (
     merge_concat,
     raise_last,
     refine,
+    signed,
 )
 from mzv.products import (
     circ,
@@ -41,15 +42,37 @@ def _pairs(total_weight):
 def test_stuffle_matrix_enumeration_count():
     mats = enumerate_stuffle(idx(1), idx(2, 3))
     assert len(mats) == 5
-    assert sorted(m.term() for m in mats) == [
+    assert sorted(tuple(a + b for a, b in cols) for cols in mats) == [
         (1, 2, 3),
         (2, 1, 3),
         (2, 3, 1),
         (2, 4),
         (3, 3),
     ]
-    widths = sorted(m.width for m in mats)
+    widths = sorted(len(cols) for cols in mats)
     assert widths == [2, 2, 3, 3, 3]
+
+
+def test_enumerated_matrices_recover_both_factors():
+    # every pair of total weight <= 7, phi on either side included
+    for w in range(8):
+        for a in range(w + 1):
+            for mu in all_indices(a):
+                for nu in all_indices(w - a):
+                    mats = enumerate_stuffle(mu, nu)
+                    p, q = len(mu), len(nu)
+                    delannoy = sum(math.comb(p, i) * math.comb(q, i) * 2**i
+                                   for i in range(min(p, q) + 1))
+                    assert len(set(mats)) == len(mats) == delannoy, (mu, nu)
+                    for cols in mats:
+                        assert (0, 0) not in cols, (mu, nu, cols)
+                        assert tuple(t for t, _ in cols if t) == mu
+                        assert tuple(b for _, b in cols if b) == nu
+
+
+def test_signed_matrix_sum_is_the_sign_twist_of_the_product():
+    for mu, nu in _pairs(7):
+        assert stuffle_bar_via_matrices(mu, nu) == signed(stuffle(signed(mu), signed(nu)))
 
 
 def test_stuffle_examples():

@@ -52,6 +52,18 @@ def test_benchmark_self_check():
     assert "self-check ok" in proc.stdout.splitlines()
 
 
+def test_package_caches_are_bounded():
+    # a long session must not grow a cache without end; the two products
+    # caches are emptied by products.stuffle_cache_clear instead
+    unbounded = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module("mzv." + path.stem)
+        unbounded += ["%s.%s" % (path.stem, name) for name, f in vars(module).items()
+                      if callable(getattr(f, "cache_info", None))
+                      and f.__module__ == module.__name__ and f.cache_info().maxsize is None]
+    assert sorted(unbounded) == ["products._stuffle", "products._stuffle_bar"]
+
+
 def test_import_does_not_load_numpy():
     # numpy is imported inside the truncated numeric kernels only; `verify
     # numeric`, a certified `zeta_bar` and `rank-table` (the GF(2) rank) run on

@@ -288,10 +288,6 @@ class Combination:
             raise ValueError("combination is not homogeneous of a single weight")
         return weights.pop()
 
-    def max_length(self) -> int:
-        """The largest number of parts over the support (0 for the zero element)."""
-        return max((k.bit_count() for k in self._terms), default=0)
-
     def __repr__(self) -> str:
         return format_combination(self)
 

@@ -1,29 +1,24 @@
-"""Evaluation of zeta values: certified by default, or by truncated chain sums.
+"""Certified evaluation of zeta values, and verdicts on relations.
 
-The certified path (``N=None``) is the Hölder convolution at 1/2 (Borwein,
-Bradley, Broadhurst and Lisoněk, "Special values of multiple polylogarithms",
-Trans. Amer. Math. Soc. 353 (2001) 907-941).  Cut at any position, the x0/x1
-word of an index (x1 at position 1 and after each mark of its subset code)
-splits into the word of an index, nearer 0, and that of another, nearer 1
-once reversed with x0 and x1 swapped; ``zeta(mu)`` is the sum over the cuts
-of the products of their ``Li(1/2) = sum over n_1 < .. < n_r of 2**-n_r /
-prod n_j**part_j``.  These series run in fixed point, ``2**-bits`` units in
-Python integers, memoised per index: each floor division adds a unit to a
-counted error, and the tail past ``M`` terms is bounded (:func:`_half_series`).
-Values and bounds add up exactly, and verdicts compare those exact numbers: a
-relation passes when ``|value| <= max(tol, bound)``, ``tol`` 1e-30 by default.
-``err`` is the bound plus the float rounding of ``value``, rounded up.
-
-The truncated path (an integer ``N``) stays as the test oracle: blockwise
-double-precision strict chain sums of one index up to ``N``
-(:func:`_chain_partials`), each total exact and rounded once
-(:func:`_exact_sum`), with the doubling heuristic ``2 * |estimate(N) -
-estimate(N // 2)|`` as error bar and verdicts on ``max(tol, err)``; the bar is
-floored at a few machine epsilons of the accumulated magnitude, all that a
-double-precision sum can know.
+The evaluator is the Hölder convolution at 1/2 (Borwein, Bradley, Broadhurst
+and Lisoněk, "Special values of multiple polylogarithms", Trans. Amer. Math.
+Soc. 353 (2001) 907-941).  Cut at any position, the x0/x1 word of an index
+(x1 at position 1 and after each mark of its subset code) splits into the
+word of an index, nearer 0, and that of another, nearer 1 once reversed with
+x0 and x1 swapped; ``zeta(mu)`` is the sum over the cuts of the products of
+their ``Li(1/2) = sum over n_1 < .. < n_r of 2**-n_r / prod n_j**part_j``.
+These series run in fixed point, ``2**-bits`` units in Python integers,
+memoised per index: each floor division adds a unit to a counted error, and
+the tail past ``M`` terms is bounded (:func:`_half_series`).  Values and
+bounds add up exactly, and a relation passes when ``|value| <= bound`` on
+those exact numbers.  ``err`` is the bound plus the float rounding of
+``value``, rounded up.
 
 A weak chain sum is the strict sum over the coarsenings of its index, so
 :func:`zeta_bar` is :func:`zeta_strict` of :func:`~mzv.indices.coarsen`.
+
+:func:`_truncated`, blockwise double-precision chain sums with a doubling
+heuristic for an error bar, is kept for the tests as an oracle.
 
 Only indices whose last part is at least 2 converge; anything else raises.
 """
@@ -38,22 +33,19 @@ from functools import lru_cache
 
 from .indices import MultiIndex, _index, _key, as_combination, coarsen, format_index, raise_last
 
-DEFAULT_TRUNCATION = 10**6
-#: Fixed-point bits of the certified 1/2-series, and the default tolerance of its verdicts.
-CERTIFIED_BITS, CERTIFIED_TOL = 120, 1e-30
+#: Fixed-point bits of the certified 1/2-series.
+CERTIFIED_BITS = 120
 
 
 @dataclass(frozen=True)
 class MzvEstimate:
-    """A value and its error: a proven bound after ``truncation`` series terms, with the
-    exact ``(value, bound)`` in ``exact``, or the doubling bar of sums truncated at ``N``.
-    There ``truncation`` reports ``N``, though the sums run over chain positions
-    ``1..N+1`` and the half sums over ``1..N//2+1`` (:func:`_chain_partials`)."""
+    """A value, its proven error after ``truncation`` series terms, and the exact
+    ``(value, bound)`` in ``exact``."""
 
     value: float
     err: float
     truncation: int
-    exact: tuple | None = field(default=None, repr=False)
+    exact: tuple = field(repr=False)
 
     def __float__(self) -> float:
         return self.value
@@ -128,7 +120,11 @@ def _convergent(mu: MultiIndex) -> MultiIndex:
     return mu
 
 
-def _evaluate(x, N: int) -> MzvEstimate:
+def _truncated(x, N: int) -> tuple:
+    """``(value, err)``: the strict chain sums of a combination truncated at ``N``
+    (in fact over the positions ``1..N+1``, and ``1..N//2+1`` for the half sums),
+    with the heuristic bar ``2 |value(N) - value(N // 2)|``, floored at a few
+    machine epsilons of the accumulated magnitude."""
     if N < 2:
         raise ValueError("the truncation bound must be >= 2")
     full = half = scale = 0.0
@@ -138,7 +134,7 @@ def _evaluate(x, N: int) -> MzvEstimate:
         half += float(c) * h
         scale += abs(float(c)) * abs(f)
     noise = 4.0 * sys.float_info.epsilon * scale
-    return MzvEstimate(full, max(2.0 * abs(full - half), noise), N)
+    return full, max(2.0 * abs(full - half), noise)
 
 
 @lru_cache(maxsize=1 << 12)
@@ -202,71 +198,54 @@ def _rounded(value: Fraction, bound: Fraction, terms: int) -> MzvEstimate:
     return MzvEstimate(f, up if up >= err else math.nextafter(up, math.inf), terms, (value, bound))
 
 
-def zeta_strict(x, N: int | None = None) -> MzvEstimate:
-    """Strict-chain zeta of a combination (the plain MZV): certified, or truncated at ``N``."""
-    return _certified(x, CERTIFIED_BITS) if N is None else _evaluate(x, N)
+def zeta_strict(x) -> MzvEstimate:
+    """Strict-chain zeta of a combination (the plain MZV), with a proven bound."""
+    return _certified(x, CERTIFIED_BITS)
 
 
-def zeta_bar(x, N: int | None = None) -> MzvEstimate:
+def zeta_bar(x) -> MzvEstimate:
     """Weak-chain zeta (chains may repeat): the strict zeta of the sum of all coarsenings."""
-    return zeta_strict(coarsen(x), N)
+    return zeta_strict(coarsen(x))
 
 
-def zeta_plus(x, N: int | None = None) -> MzvEstimate:
+def zeta_plus(x) -> MzvEstimate:
     """Raise the last part of every term, then evaluate strictly."""
-    return zeta_strict(raise_last(as_combination(x)), N)
+    return zeta_strict(raise_last(as_combination(x)))
 
 
-def default_tolerance(max_length: int) -> float:
-    """1e-6 for short indices (length <= 2), 1e-4 beyond: the truncated path's tolerances."""
-    return 1e-6 if max_length <= 2 else 1e-4
-
-
-def verify_linear(relation, N: int | None = None, tol: float | None = None) -> dict:
+def verify_linear(relation) -> dict:
     """Evaluate a linear relation's element under the raised functional.
 
     Accepts a relation object (with ``element`` and ``provenance``) or a bare
-    combination.  The verdict is ``abs(value) <= max(tol, err)``, on the
-    exact value and bound on the certified path (``N=None``).
+    combination.  It passes when ``abs(value) <= bound`` on the exact numbers.
     """
     element = getattr(relation, "element", relation)
     tag = getattr(relation, "provenance", "element")
-    raised = raise_last(as_combination(element))
-    if tol is None:
-        tol = CERTIFIED_TOL if N is None else default_tolerance(raised.max_length())
-    return _report(tag, zeta_strict(raised, N), tol)
+    return _report(tag, zeta_plus(element))
 
 
-def verify_quadratic(relation, N: int | None = None, tol: float | None = None) -> dict:
+def verify_quadratic(relation) -> dict:
     """Evaluate a product relation: sum of zeta*zeta factors minus the rhs.
 
-    Error bounds propagate through the products (``|a| eb + |b| ea + ea eb``
-    per factor pair) and add up, exactly on the certified path; ``tol`` is
-    1e-4 for truncated sums.  Degree-1 inputs (linear relations) are routed
-    through :func:`verify_linear`.
+    Bounds propagate exactly through the products (``|a| eb + |b| ea + ea eb``
+    per factor pair) and add up.  Degree-1 inputs (linear relations) are
+    routed through :func:`verify_linear`.
     """
-    if tol is None:
-        tol = CERTIFIED_TOL if N is None else 1e-4
     if hasattr(relation, "element"):
-        return verify_linear(relation, N, tol)
+        return verify_linear(relation)
     total = err = terms = 0
     for left, right in relation.factors:
-        a, b = zeta_strict(left, N), zeta_strict(right, N)
-        (av, ae), (bv, be) = _exact(a), _exact(b)
+        a, b = zeta_strict(left), zeta_strict(right)
+        (av, ae), (bv, be) = a.exact, b.exact
         total += av * bv
         err += abs(av) * be + abs(bv) * ae + ae * be
         terms = max(terms, a.truncation, b.truncation)
-    rhs = zeta_strict(relation.rhs, N)
-    total, err, terms = total - _exact(rhs)[0], err + _exact(rhs)[1], max(terms, rhs.truncation)
-    est = _rounded(total, err, terms) if N is None else MzvEstimate(total, err, N)
-    return _report(relation.provenance, est, tol)
+    rhs = zeta_strict(relation.rhs)
+    (rv, rerr), terms = rhs.exact, max(terms, rhs.truncation)
+    return _report(relation.provenance, _rounded(total - rv, err + rerr, terms))
 
 
-def _exact(est: MzvEstimate) -> tuple:
-    return est.exact or (est.value, est.err)
-
-
-def _report(tag, est: MzvEstimate, tol: float) -> dict:
-    value, bound = _exact(est)
+def _report(tag, est: MzvEstimate) -> dict:
+    value, bound = est.exact
     return {"relation": tag, "N": est.truncation, "value": est.value, "err": est.err,
-            "tol": tol, "pass": abs(value) <= max(tol, bound)}
+            "pass": abs(value) <= bound}

@@ -3,13 +3,15 @@
 Covers the rank table of the generated relation space (exact and modular),
 its closed-form count, the Lyndon index bookkeeping, duality and shifted
 duality membership certificates, the exact difference-table and identity
-suites, and the floating-point verdicts at the default truncation.  Shared
+suites, and the numeric verdicts on proven error bounds.  Shared
 matrices are memoized at module level so the tests stay independent without
 recomputing them.
 """
 
-import math
+from fractions import Fraction
 from functools import lru_cache
+
+from mzv import numeric
 
 from mzv.harmonic import seq_A, seq_S, seq_a, seq_s, seq_s2
 from mzv.indices import (
@@ -23,6 +25,7 @@ from mzv.indices import (
     idx,
     merge_concat,
     ones,
+    raise_last,
     refine,
     refine_inv,
     reverse,
@@ -252,21 +255,29 @@ def test_08_shift_operator_suite():
 
 
 def test_09_numeric_kernel_verdicts():
+    # each relation is zero within its proven bound, and the bound shrinks
+    # as the fixed-point precision grows
     for weight in range(2, 6):
         for relation in _basis(weight):
-            report = verify_linear(relation, N=10**6)
+            report = verify_linear(relation)
             assert report["pass"] is True, report
-            coarse = verify_linear(relation, N=10**5)
-            assert report["err"] < coarse["err"], (report, coarse)
-    euler = verify_linear(kawashima_relation(idx(1), idx(1)), N=10**6, tol=1e-6)
+            coarse = numeric._certified(raise_last(relation.element), 40)
+            assert report["err"] < coarse.err, (report, coarse)
+    euler = verify_linear(kawashima_relation(idx(1), idx(1)))
     assert euler["pass"] is True, euler
-    quadratic = verify_quadratic(quadratic_relation(idx(1), idx(1), 2), N=10**6, tol=1e-4)
+    quadratic = verify_quadratic(quadratic_relation(idx(1), idx(1), 2))
     assert quadratic["pass"] is True, quadratic
 
 
+#: pi to 50 decimals, so within 1e-50
+PI = Fraction("3.14159265358979323846264338327950288419716939937510")
+
+
 def test_10_classical_constants_within_error():
-    for parts, exact in [((2,), math.pi**2 / 6), ((4,), math.pi**4 / 90)]:
-        est = zeta_strict(term(parts), 10**6)
-        residual = abs(est.value - exact)
-        assert est.err >= residual, (parts, residual, est.err)
-        assert residual <= max(1e-8, est.err), (parts, residual, est.err)
+    for parts, power, scale in [((2,), 2, 6), ((4,), 4, 90)]:
+        est = zeta_strict(term(parts))
+        exact, slack = PI**power / scale, Fraction(1, 10**45)
+        value, bound = est.exact
+        assert abs(value - exact) <= bound + slack, parts
+        residual = abs(Fraction(est.value) - exact)
+        assert residual <= Fraction(est.err) + slack, (parts, residual, est.err)

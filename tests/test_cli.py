@@ -246,20 +246,12 @@ def test_pairs_up_to_cap(capsys, monkeypatch):
     assert err.startswith("mzv: ") and "--pairs-up-to" in err and "cap" in err
 
 
-def test_verify_numeric_zero_tolerance_is_used(capsys, monkeypatch):
-    seen = []
-
-    def spy(fn):
-        def wrapped(relation, N, tol):
-            seen.append(tol)
-            return fn(relation, N, tol)
-
-        return wrapped
-
-    monkeypatch.setattr(cli, "verify_linear", spy(cli.verify_linear))
-    monkeypatch.setattr(cli, "verify_quadratic", spy(cli.verify_quadratic))
-    run(["verify", "numeric", "--pairs-up-to", "2", "--truncation", "1000", "--tol", "0"], capsys)
-    assert seen and seen == [0.0] * len(seen)
+def test_tol_option_is_gone(capsys):
+    # verdicts rest on the proven bound alone, so there is no tolerance to set
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "numeric", "--tol", "0"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -484,10 +476,14 @@ def test_verify_numeric_runs_no_truncated_sums(monkeypatch, capsys):
     assert numeric._chain_partials.cache_info().currsize == 0
 
 
-def test_verify_numeric_reports_a_planted_false_relation(monkeypatch, capsys):
+@pytest.mark.parametrize("eps, value", [
+    ("1/500", r"1\.423132e-03"),
+    # under the 1e-30 floor that verdicts once passed on, but above the proven bound
+    ("1/10000000000000000000000000000000", r"7\.150866e-32"),
+])
+def test_verify_numeric_reports_a_planted_false_relation(eps, value, monkeypatch, capsys):
     from fractions import Fraction
 
-    from mzv.indices import Combination
     from mzv.relations import LinearRelation
 
     real = cli.kawashima_relation
@@ -496,8 +492,8 @@ def test_verify_numeric_reports_a_planted_false_relation(monkeypatch, capsys):
         rel = real(mu, nu)
         if (mu, nu) != ((1, 1), (1, 1)):
             return rel
-        element = rel.element + Combination.term((3, 1), Fraction(1, 500))
-        return LinearRelation(element, rel.provenance + "+1/500*(3,1)", rel.weight)
+        element = rel.element + Combination.term((3, 1), Fraction(eps))
+        return LinearRelation(element, rel.provenance + "+%s*(3,1)" % eps, rel.weight)
 
     monkeypatch.setattr(cli, "kawashima_relation", planted)
     code, out, _ = run(["verify", "numeric", "--pairs-up-to", "4"], capsys)
@@ -505,9 +501,89 @@ def test_verify_numeric_reports_a_planted_false_relation(monkeypatch, capsys):
     fails = [line for line in out.splitlines() if not line.startswith("ok  ")]
     assert fails[-1] == "12 checks, FAILURES"
     # the line names the relation, its value, its bound and the precision used
-    assert re.fullmatch(r"FAIL kawashima\(\(1,1\),\(1,1\)\)\+1/500\*\(3,1\): value 1\.423132e-03, "
-                        r"bound \d\.\d\de-\d\d \(120 bits, \d+ series terms\)", fails[0]), fails
+    assert re.fullmatch(r"FAIL kawashima\(\(1,1\),\(1,1\)\)\+%s\*\(3,1\): value %s, "
+                        r"bound \d\.\d\de-\d\d \(120 bits, \d+ series terms\)"
+                        % (re.escape(eps), value), fails[0]), fails
     assert len(fails) == 2
     code, out, _ = run(["verify", "numeric", "--pairs-up-to", "4", "--output", "json"], capsys)
     failed = [c for c in json.loads(out)["checks"] if not c["pass"]]
     assert code == 1 and [sorted(c) for c in failed] == [["N", "err", "name", "pass", "value"]]
+
+
+def _off_by_1_500(rel):
+    from fractions import Fraction
+
+    from mzv.relations import LinearRelation
+
+    first = rel.element.support()[0]
+    element = rel.element + Combination.term(first, Fraction(1, 500))
+    return LinearRelation(element, rel.provenance, rel.weight)
+
+
+def test_verify_duality_names_the_first_element_outside_the_span(monkeypatch, capsys):
+    real, seen = cli.duality_relation, []
+
+    def planted(mu):
+        seen.append(mu)
+        rel = real(mu)
+        return _off_by_1_500(rel) if mu == (2, 1, 1) else rel
+
+    monkeypatch.setattr(cli, "duality_relation", planted)
+    code, out, _ = run(["verify", "duality", "--weight", "5"], capsys)
+    assert (code, out.splitlines()) == (1, [
+        "ok   duality differences inside span at weight 2",
+        "ok   duality differences inside span at weight 3",
+        "FAIL duality differences inside span at weight 4: first outside duality((2,1,1))",
+        "ok   duality differences inside span at weight 5",
+        "4 checks, FAILURES",
+    ])
+    # the first failure ends its weight's check
+    assert [mu for mu in seen if mu.weight == 4][-1] == (2, 1, 1)
+    code, out, _ = run(["verify", "duality", "--weight", "5", "--output", "json"], capsys)
+    checks = json.loads(out)["checks"]
+    assert code == 1 and checks[2] == {
+        "name": "duality differences inside span at weight 4", "pass": False}
+
+
+def test_verify_ohno_names_the_first_element_outside_the_span(monkeypatch, capsys):
+    real = cli.ohno_relations
+
+    def planted(k, r_max=None):
+        return [_off_by_1_500(rel) if rel.provenance == "ohno((2,3),0)" else rel
+                for rel in real(k, r_max=r_max)]
+
+    monkeypatch.setattr(cli, "ohno_relations", planted)
+    code, out, _ = run(["verify", "ohno", "--weight", "5"], capsys)
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL shifted duality inside span at weight 5: first outside ohno((2,3),0)"]
+
+
+@pytest.mark.parametrize("argv, weight", [
+    (["--k-min", "13", "--k-max", "13", "--exact-up-to", "13"], 13),
+    (["--k-min", "2", "--k-max", "14", "--exact-up-to", "20"], 14),
+])
+def test_rank_table_refuses_an_exact_rank_above_weight_12_up_front(argv, weight):
+    # exact weight 12 took 20.6 s, and weight 13 ran past 120 s
+    proc = _run_with_timeout(["rank-table", *argv])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("mzv: rank-table: an exact rank at weight %d is above the limit 12"
+                           " (lower --exact-up-to)\n" % weight)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--k-min", "12", "--k-max", "12", "--exact-up-to", "12"],
+    ["--k-min", "13", "--k-max", "13", "--exact-up-to", "12"],
+    # no weight in the range is ranked exactly
+    ["--k-min", "14", "--k-max", "14", "--exact-up-to", "13"],
+])
+def test_rank_table_admits_exact_ranks_through_weight_12(argv, capsys, monkeypatch):
+    class Admitted(Exception):
+        pass
+
+    def admitted(k):
+        raise Admitted
+
+    monkeypatch.setattr(cli, "stuffle_rows", admitted)
+    with pytest.raises(Admitted):
+        cli.main(["rank-table", *argv])

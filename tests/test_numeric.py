@@ -5,17 +5,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mzv.indices import Combination, as_combination, idx
+from mzv.indices import Combination, as_combination, coarsen, idx
 from mzv import numeric
 from mzv.indices import raise_last
 from mzv.numeric import (
     _BLOCK,
     _UNIT,
-    DEFAULT_TRUNCATION,
-    MzvEstimate,
     _chain_partials,
     _exact_sum,
-    default_tolerance,
+    _truncated,
     verify_linear,
     verify_quadratic,
     zeta_bar,
@@ -30,123 +28,117 @@ from mzv.relations import (
 )
 
 
+# The truncated oracle: (value, err) of double-precision chain sums.
+
+
 def test_classical_constants():
-    est = zeta_strict(idx(2), 10**5)
-    assert abs(est.value - math.pi**2 / 6) < 2e-5
-    assert abs(est.value - math.pi**2 / 6) <= max(est.err, 2e-5)
-    est4 = zeta_strict(idx(4), 10**4)
-    assert abs(est4.value - math.pi**4 / 90) < 1e-8
+    value, err = _truncated(idx(2), 10**5)
+    assert abs(value - math.pi**2 / 6) < 2e-5
+    assert abs(value - math.pi**2 / 6) <= max(err, 2e-5)
+    value4, _ = _truncated(idx(4), 10**4)
+    assert abs(value4 - math.pi**4 / 90) < 1e-8
 
 
 def test_double_zeta_values():
     # zeta over increasing chains: the last slot carries the largest index
     # of summation, so (1,2) is the classical sum with outer exponent 2
-    est = zeta_strict(idx(1, 2), 10**5)
+    value, _ = _truncated(idx(1, 2), 10**5)
     zeta3 = sum(1.0 / n**3 for n in range(1, 2000))
     # the tail of this double sum only decays like log(N)/N
-    assert abs(est.value - zeta3) < 5e-4
-    est22 = zeta_strict(idx(2, 2), 10**4)
+    assert abs(value - zeta3) < 5e-4
+    value22, _ = _truncated(idx(2, 2), 10**4)
     # zeta(2)^2 = 2 zeta(2,2) + zeta(4); the truncated pair sum still
     # carries a tail of order 1/N
     lhs = (math.pi**2 / 6) ** 2
-    assert abs(2 * est22.value + math.pi**4 / 90 - lhs) < 1e-3
+    assert abs(2 * value22 + math.pi**4 / 90 - lhs) < 1e-3
 
 
 def test_weak_chain_variant():
     # weak chains factor: zbar(1,2) = sum over m<=n of 1/(m n^2)
-    est = zeta_bar(idx(2), 10**4)
-    strict = zeta_strict(idx(2), 10**4)
-    assert abs(est.value - strict.value) < 1e-12
-    est_pair = zeta_bar(idx(2, 2), 100)
+    weak, _ = _truncated(coarsen(idx(2)), 10**4)
+    strict, _ = _truncated(idx(2), 10**4)
+    assert abs(weak - strict) < 1e-12
+    weak_pair, _ = _truncated(coarsen(idx(2, 2)), 100)
     brute = sum(
         1.0 / (m**2 * n**2) for n in range(1, 102) for m in range(1, n + 1)
     )
-    assert abs(est_pair.value - brute) < 1e-12
-
-
-def test_raised_functional():
-    # raising turns (1,1) into (1,2) before evaluating
-    a = zeta_plus(idx(1, 1), 10**4)
-    b = zeta_strict(idx(1, 2), 10**4)
-    assert a.value == b.value
-    assert a.truncation == b.truncation == 10**4
+    assert abs(weak_pair - brute) < 1e-12
 
 
 def test_divergent_index_rejected():
     with pytest.raises(ValueError):
-        zeta_strict(idx(2, 1), 1000)
+        _truncated(idx(2, 1), 1000)
     with pytest.raises(ValueError):
-        zeta_strict(Combination.term(()), 1000)
+        _truncated(Combination.term(()), 1000)
     with pytest.raises(ValueError):
-        zeta_strict(idx(2), 1)
-
-
-def test_estimate_is_float_like():
-    est = zeta_strict(idx(2), 1000)
-    assert float(est) == est.value
-    assert est.truncation == 1000
-    assert est.err >= 0.0
+        _truncated(idx(2), 1)
 
 
 def test_error_bar_shrinks_with_truncation():
-    rough = zeta_strict(idx(2), 10**3)
-    fine = zeta_strict(idx(2), 10**4)
-    assert fine.err < rough.err
-    assert abs(fine.value - math.pi**2 / 6) < abs(rough.value - math.pi**2 / 6)
+    rough = _truncated(idx(2), 10**3)
+    fine = _truncated(idx(2), 10**4)
+    assert fine[1] < rough[1]
+    assert abs(fine[0] - math.pi**2 / 6) < abs(rough[0] - math.pi**2 / 6)
 
 
-def test_default_tolerance_switches_on_length():
-    assert default_tolerance(0) == 1e-6
-    assert default_tolerance(2) == 1e-6
-    assert default_tolerance(3) == 1e-4
-    assert DEFAULT_TRUNCATION == 10**6
+# The public API: certified estimates and verdicts on the proven bound.
+
+
+def test_raised_functional():
+    # raising turns (1,1) into (1,2) before evaluating
+    assert zeta_plus(idx(1, 1)) == zeta_strict(idx(1, 2))
+
+
+def test_estimate_is_float_like():
+    est = zeta_strict(idx(2))
+    assert float(est) == est.value
+    assert est.truncation > 0
+    assert est.err >= 0.0
 
 
 def test_verify_linear_report():
     rel = kawashima_relation(idx(1), idx(2))
-    report = verify_linear(rel, N=10**4)
-    assert set(report) == {"relation", "N", "value", "err", "tol", "pass"}
+    report = verify_linear(rel)
+    assert set(report) == {"relation", "N", "value", "err", "pass"}
     assert report["relation"] == "kawashima((1),(2))"
-    assert report["N"] == 10**4
+    assert report["N"] == zeta_plus(rel.element).truncation
     assert report["pass"] is True
-    assert abs(report["value"]) <= max(report["tol"], report["err"])
+    assert abs(report["value"]) <= report["err"]
 
 
 def test_verify_linear_accepts_bare_combinations():
     # the element (2) - (1,1) encodes the classical zeta(3) = zeta(1,2)
     # equality once the last parts are raised
     element = as_combination((2,)) - as_combination((1, 1))
-    report = verify_linear(element, N=10**4, tol=1e-3)
+    report = verify_linear(element)
     assert report["relation"] == "element"
     assert report["pass"] is True
 
 
 def test_verify_linear_flags_non_relations():
-    report = verify_linear(as_combination((2,)), N=10**4, tol=1e-6)
+    report = verify_linear(as_combination((2,)))
     assert report["pass"] is False
 
 
 def test_verify_linear_duality():
     for mu in [idx(2), idx(3), idx(2, 1), idx(1, 1, 2)]:
-        report = verify_linear(duality_relation(mu), N=10**4, tol=1e-3)
+        report = verify_linear(duality_relation(mu))
         assert report["pass"] is True, report
 
 
 def test_verify_quadratic_report():
     rel = quadratic_relation(idx(1), idx(1), 2)
-    report = verify_quadratic(rel, N=10**4)
+    report = verify_quadratic(rel)
     assert report["relation"] == "quadratic((1)|(1)|2)"
     assert report["pass"] is True
     assert report["err"] > 0.0
-    # the doubling estimate has to cover the (slowly decaying) residual
-    assert abs(report["value"]) <= max(report["tol"], report["err"])
-    assert abs(report["value"]) < 5e-2
+    assert abs(report["value"]) <= report["err"]
 
 
 def test_verify_quadratic_degree_one_routes_to_linear():
     rel = quadratic_relation(idx(1), idx(1), 1)
-    report = verify_quadratic(rel, N=10**4, tol=1e-3)
-    assert report == verify_linear(rel, N=10**4, tol=1e-3)
+    report = verify_quadratic(rel)
+    assert report == verify_linear(rel)
     assert report["relation"] == "quadratic((1)|(1)|1)"
     assert report["pass"] is True
 
@@ -182,9 +174,9 @@ def test_truncated_zeta_bar_matches_the_weak_whole_array_oracle(N):
     # within the rounding of the float terms
     for mu in CHAIN_INDICES:
         full, half = _whole_array_partials(mu, N, False)
-        est = zeta_bar(_term(mu), N)
-        assert abs(est.value - full) <= 4 * math.ulp(full), (mu, N, est.value, full)
-        assert abs(est.err - 2 * abs(full - half)) <= 8 * math.ulp(full), (mu, N)
+        value, err = _truncated(coarsen(_term(mu)), N)
+        assert abs(value - full) <= 4 * math.ulp(full), (mu, N, value, full)
+        assert abs(err - 2 * abs(full - half)) <= 8 * math.ulp(full), (mu, N)
 
 
 def test_exact_sum_rounds_like_fsum():
@@ -326,9 +318,9 @@ def test_truncated_zeta_bar_matches_the_weak_per_index_oracle(N):
     for indices in [NUMERIC_INDICES] + PREFIX_SETS:
         for mu in indices:
             full, half = _per_index_partials(mu, N, strict=False)
-            est = zeta_bar(_term(mu), N)
-            assert abs(est.value - full) <= 4 * math.ulp(full), (mu, N, est.value, full)
-            assert abs(est.err - 2 * abs(full - half)) <= 8 * math.ulp(full), (mu, N)
+            value, err = _truncated(coarsen(_term(mu)), N)
+            assert abs(value - full) <= 4 * math.ulp(full), (mu, N, value, full)
+            assert abs(err - 2 * abs(full - half)) <= 8 * math.ulp(full), (mu, N)
 
 
 def _adversarial_arrays():
@@ -372,7 +364,6 @@ def test_true_relations_pass_with_a_proven_bound_below_1e_30():
     for rel in _numeric_suite_relations(5):
         report = verify_linear(rel)
         assert report["pass"] is True, report
-        assert report["tol"] == numeric.CERTIFIED_TOL == 1e-30
         assert 0.0 < report["err"] <= 1e-30, report
     report = verify_quadratic(quadratic_relation((1,), (1,), 2))
     assert report["pass"] is True and 0.0 < report["err"] <= 1e-30, report
@@ -389,11 +380,20 @@ def test_planted_false_relations_fail():
         assert report["err"] < 1e-6 * abs(report["value"]), report
 
 
+def test_a_plant_below_the_old_tolerance_floor_fails():
+    # verdicts once passed on max(1e-30, bound); this plant's value, 7.2e-32,
+    # is under that floor but above its proven bound, 4.9e-33
+    element = kawashima_relation(idx(1, 1), idx(1, 1)).element
+    report = verify_linear(element + _term((3, 1), Fraction(1, 10**31)))
+    assert report["pass"] is False, report
+    assert 7.1e-32 < abs(report["value"]) < 7.2e-32 and report["err"] < 1e-32, report
+
+
 @pytest.mark.parametrize("mu", NUMERIC_INDICES)
 def test_certified_values_lie_within_the_truncated_oracle(mu):
     certified = zeta_strict(_term(mu))
-    truncated = zeta_strict(_term(mu), 10**4)
-    assert abs(certified.value - truncated.value) <= certified.err + truncated.err, mu
+    value, err = _truncated(_term(mu), 10**4)
+    assert abs(certified.value - value) <= certified.err + err, mu
 
 
 def _machin_pi(bits):
@@ -443,10 +443,11 @@ def test_certified_estimates_refuse_divergent_indices():
     for bad in (_term((2, 1)), _term(()), _term((2,)) + _term((1,))):
         with pytest.raises(ValueError):
             zeta_strict(bad)
-    # (2,1) is among its own coarsenings (2,1) and (3), in both modes
-    for N in (None, 1000):
-        with pytest.raises(ValueError):
-            zeta_bar(_term((2, 1)), N)
+    # (2,1) is among its own coarsenings (2,1) and (3), certified and truncated
+    with pytest.raises(ValueError):
+        zeta_bar(_term((2, 1)))
+    with pytest.raises(ValueError):
+        _truncated(coarsen(_term((2, 1))), 1000)
 
 
 def test_certified_zeta_bar_of_1_2_is_twice_zeta_3():

@@ -4,21 +4,16 @@ from .indices import (
     PHI,
     Combination,
     MultiIndex,
-    SubsetCode,
     all_indices,
     as_combination,
     as_index,
     coarsen,
     coarsen_inv,
     concat,
-    decode_subset,
-    drop_last,
     dual,
-    encode_subset,
     format_combination,
     format_index,
     idx,
-    lower_last,
     merge_concat,
     ones,
     parse_combination,
@@ -27,7 +22,6 @@ from .indices import (
     raise_last,
     refine,
     refine_inv,
-    refines,
     reverse,
     signed,
 )
@@ -35,7 +29,6 @@ from .products import (
     circ,
     circ_bar,
     enumerate_stuffle,
-    mult_by,
     stuffle,
     stuffle_bar,
 )

@@ -8,8 +8,8 @@ For a multi-index ``mu = (mu_1, .., mu_p)`` the building blocks are
 
 all with exact ``Fraction`` values on ``0..horizon`` and extended linearly to
 combinations.  :class:`RationalSequence` carries the finite-difference
-toolkit: ``delta`` (forward difference ``a(n) - a(n+1)``), ``shift``, and the
-binomial transform ``nabla``.  Both read the difference table, row ``k`` being
+toolkit: ``delta`` (forward difference ``a(n) - a(n+1)``) and the binomial
+transform ``nabla``.  Both read the difference table, row ``k`` being
 ``delta**k a``: ``nabla`` is its top edge ``(nabla a)(n) = (delta**n a)(0)``,
 an involution interchanging the table's rows and columns.
 
@@ -46,10 +46,6 @@ class RationalSequence:
         self.values = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
         if not self.values:
             raise ValueError("a sequence needs at least the value at 0")
-
-    @classmethod
-    def constant(cls, value, horizon: int) -> "RationalSequence":
-        return cls([Fraction(value)] * (horizon + 1))
 
     @property
     def horizon(self) -> int:
@@ -90,12 +86,6 @@ class RationalSequence:
 
     __radd__ = __add__
     __rmul__ = __mul__
-
-    def shift(self, k: int = 1) -> "RationalSequence":
-        """Drop the first ``k`` values: n -> a(n+k)."""
-        if k < 0 or k > self.horizon:
-            raise ValueError("cannot shift past the horizon")
-        return RationalSequence(self.values[k:])
 
     def _rows(self):
         """The rows of the difference table: ``a``, ``delta a``, ``delta**2 a``, .."""

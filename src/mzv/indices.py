@@ -23,10 +23,9 @@ the cached :func:`_index`.  On keys the operators are bit operations:
 * ``concat``       -- ``k | l << weight(k)``,
 * ``merge_concat`` -- the same after clearing ``k``'s top bit (unless ``l`` is phi),
 
-with ``lower_last``/``drop_last`` on bare indices and weight-block splitting
-(``partition``, a shifted window of the key).  ``refine_inv``/``coarsen_inv``
-invert ``refine``/``coarsen``; conjugating by ``signed`` does the trick,
-which is verified exhaustively in the tests.
+with weight-block splitting (``partition``, a shifted window of the key).
+``refine_inv``/``coarsen_inv`` invert ``refine``/``coarsen``; conjugating by
+``signed`` does the trick, which is verified exhaustively in the tests.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Iterable, Iterator, Union
 
 
 class MultiIndex(tuple):
@@ -88,40 +87,6 @@ def ones(r: int) -> MultiIndex:
     return MultiIndex((1,) * r)
 
 
-# ---------------------------------------------------------------------------
-# subset coding
-
-
-class SubsetCode(NamedTuple):
-    """A weight together with the set of marked positions in {1, .., weight-1}."""
-
-    weight: int
-    marks: frozenset
-
-
-def encode_subset(mu: IndexLike) -> SubsetCode:
-    """Mark the proper partial sums of ``mu``.
-
-    >>> encode_subset((2, 2, 1))
-    SubsetCode(weight=5, marks=frozenset({2, 4}))
-    """
-    mu = as_index(mu)
-    if not mu:
-        raise ValueError("phi has no subset code")
-    return SubsetCode(mu.weight, frozenset(accumulate(mu[:-1])))
-
-
-def decode_subset(code: SubsetCode) -> MultiIndex:
-    """Inverse of :func:`encode_subset`."""
-    m, marks = code
-    if m < 1:
-        raise ValueError("weight must be >= 1")
-    if not all(1 <= s < m for s in marks):
-        raise ValueError("marks must lie in {1, .., weight-1}")
-    cuts = [0] + sorted(marks) + [m]
-    return MultiIndex(b - a for a, b in zip(cuts, cuts[1:]))
-
-
 def _key(mu) -> int:
     """The mark key of the parts ``mu``: bit ``s-1`` for every partial sum ``s``."""
     return sum(1 << s - 1 for s in accumulate(mu))
@@ -147,12 +112,6 @@ def all_indices(weight: int) -> list[MultiIndex]:
     if weight < 0:
         raise ValueError("weight must be >= 0")
     return sorted(map(_index, range(1 << weight >> 1, 1 << weight)))
-
-
-def refines(mu: IndexLike, nu: IndexLike) -> bool:
-    """True when ``mu`` is a refinement of ``nu`` (same weight, finer cuts)."""
-    mu, nu = as_index(mu), as_index(nu)
-    return mu.weight == nu.weight and not _key(nu) & ~_key(mu)
 
 
 # ---------------------------------------------------------------------------
@@ -408,29 +367,6 @@ def raise_last(x):
     return _rekey(x, lambda k: k + (1 << k.bit_length() >> 1) or 1)
 
 
-def lower_last(mu: IndexLike) -> MultiIndex:
-    """Subtract 1 from the last part, dropping it when it reaches 0.
-
-    Defined for indices of weight >= 1; inverse to :func:`raise_last` on the
-    image of indices whose last part exceeds 1 -- and ``lower_last((1,))`` is
-    phi.
-    """
-    mu = as_index(mu)
-    if not mu:
-        raise ValueError("lower_last is undefined for phi")
-    if mu[-1] > 1:
-        return MultiIndex(mu[:-1] + (mu[-1] - 1,))
-    return MultiIndex(mu[:-1])
-
-
-def drop_last(mu: IndexLike) -> MultiIndex:
-    """Remove the last part entirely (the weight drops by that part)."""
-    mu = as_index(mu)
-    if not mu:
-        raise ValueError("drop_last is undefined for phi")
-    return MultiIndex(mu[:-1])
-
-
 # ---------------------------------------------------------------------------
 # weight-block splitting
 
@@ -463,20 +399,6 @@ def partition(mu: IndexLike, sizes: Iterable[int]) -> tuple[MultiIndex, ...]:
         blocks.append(_index((key >> pos | 1 << s >> 1) & (1 << s) - 1))
         pos += s
     return tuple(blocks)
-
-
-def assemble(mu: IndexLike, blocks: Iterable[IndexLike]) -> MultiIndex:
-    """Rejoin :func:`partition` blocks of ``mu``, fusing parts split by cuts."""
-    key = _key(as_index(mu))
-    out = PHI
-    pos = 0
-    for block in blocks:
-        block = as_index(block)
-        # a cut at 0 or at a partial sum of mu falls between parts
-        joined = concat(out, block) if not pos or key >> pos - 1 & 1 else merge_concat(out, block)
-        (out,) = joined.support()
-        pos += block.weight
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +444,11 @@ def parse_combination(text: str) -> Combination:
     """Parse ``c1*(..) + c2*(..)`` with integer or p/q coefficients.
 
     The star after a coefficient is optional, indices are parenthesised part
-    lists, and ``phi`` denotes the empty index.
+    lists, and ``phi`` denotes the empty index.  ``0`` is the zero
+    combination, as :func:`format_combination` prints it.
     """
+    if text.strip() == "0":
+        return Combination()
     s = text
     pos = 0
     n = len(s)

@@ -3,7 +3,7 @@
 The evaluator is the Hölder convolution at 1/2 (Borwein, Bradley, Broadhurst
 and Lisoněk, "Special values of multiple polylogarithms", Trans. Amer. Math.
 Soc. 353 (2001) 907-941).  Cut at any position, the x0/x1 word of an index
-(x1 at position 1 and after each mark of its subset code) splits into the
+(x1 at position 1 and after each mark of its mark key) splits into the
 word of an index, nearer 0, and that of another, nearer 1 once reversed with
 x0 and x1 swapped; ``zeta(mu)`` is the sum over the cuts of the products of
 their ``Li(1/2) = sum over n_1 < .. < n_r of 2**-n_r / prod n_j**part_j``.

@@ -104,23 +104,15 @@ def ohno_bar_u(r: int, x) -> Combination:
 # prescribes which blocks may be empty and how the blocks are reassembled.
 
 
-def _list_splits(q: int, r: int, allow_empty_init: bool, allow_empty_last: bool):
-    """Positions 0..q splitting a q-part list into r+1 consecutive blocks."""
-    if allow_empty_init:
-        pool = range(0, q if not allow_empty_last else q + 1)
-        return itertools.combinations_with_replacement(pool, r)
-    pool = range(1, q + 1 if allow_empty_last else q)
-    return itertools.combinations(pool, r)
-
-
 def ohno_ones_blocks(r: int, mu) -> Combination:
     """Block formula for the label ``ones(r)``.
 
     Cut the part list into blocks ``b0 # b1 # .. # br`` with ``b0..b(r-1)``
     non-empty; each term glues ``b0, (1)#b1, .., (1)#br`` by merge_concat.
     """
-    return _list_split_sum(r, mu, False, True, lambda blocks: [blocks[0]] + [
-        concat(idx(1), block) for block in blocks[1:]])
+    return _list_split_sum(
+        r, mu, lambda q: itertools.combinations(range(1, q + 1), r),
+        lambda blocks: [blocks[0]] + [concat(idx(1), block) for block in blocks[1:]])
 
 
 def ohno_u_blocks(r: int, mu) -> Combination:
@@ -130,13 +122,14 @@ def ohno_u_blocks(r: int, mu) -> Combination:
     last non-empty; each term glues ``b0#(1), .., b(r-1)#(1), br`` by
     merge_concat.
     """
-    return _list_split_sum(r, mu, True, False, lambda blocks: [
-        concat(block, idx(1)) for block in blocks[:-1]] + [blocks[-1]])
+    return _list_split_sum(
+        r, mu, lambda q: itertools.combinations_with_replacement(range(q), r),
+        lambda blocks: [concat(block, idx(1)) for block in blocks[:-1]] + [blocks[-1]])
 
 
-def _list_split_sum(r: int, mu, allow_empty_init: bool, allow_empty_last: bool, pieces):
-    """Sum over the list splits of ``mu`` into r+1 blocks of ``pieces(blocks)``
-    glued by merge_concat."""
+def _list_split_sum(r: int, mu, splits, pieces):
+    """Sum over the cuts ``splits(len(mu))`` of ``mu`` into r+1 blocks of
+    ``pieces(blocks)`` glued by merge_concat."""
     mu = as_index(mu)
     if r < 0:
         raise ValueError("the shift amount must be >= 0")
@@ -144,7 +137,7 @@ def _list_split_sum(r: int, mu, allow_empty_init: bool, allow_empty_last: bool, 
         return Combination.zero() if r else Combination.term(PHI)
     q = len(mu)
     out = Combination.zero()
-    for cuts in _list_splits(q, r, allow_empty_init, allow_empty_last):
+    for cuts in splits(q):
         bounds = (0,) + cuts + (q,)
         term = Combination.term(PHI)
         for piece in pieces([MultiIndex(mu[a:b]) for a, b in zip(bounds, bounds[1:])]):

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .indices import Combination, _accumulate, _bilinear, _key, as_combination, as_index
+from .indices import Combination, _accumulate, _bilinear, _key, as_index
 
 
 def enumerate_stuffle(mu, nu) -> list[tuple[tuple[int, int], ...]]:
@@ -155,13 +155,10 @@ def circ_bar(x, y) -> Combination:
     return _circ("circ_bar", _stuffle_bar, x, y)
 
 
-def mult_by(v):
-    """The linear map 'harmonic product with ``v``'."""
-    v = as_combination(v)
-    return lambda x: stuffle(v, x)
-
-
 def stuffle_cache_clear() -> None:
-    """Drop the memoised pair products (mainly for benchmarks)."""
+    """Drop the memoised pair products.
+
+    Both pair caches are unbounded, so this is what empties them in a long
+    session."""
     _stuffle.cache_clear()
     _stuffle_bar.cache_clear()

@@ -58,20 +58,6 @@ class LinearRelation:
     provenance: str
     weight: int
 
-    def to_json(self) -> dict:
-        return {
-            "weight": self.weight,
-            "provenance": self.provenance,
-            "terms": terms_json(self.element),
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "LinearRelation":
-        element = Combination(
-            (tuple(t["index"]), Fraction(t["num"], t["den"])) for t in data["terms"]
-        )
-        return LinearRelation(element, data["provenance"], data["weight"])
-
     def __str__(self) -> str:
         return "%s: %s" % (self.provenance, format_combination(self.element))
 

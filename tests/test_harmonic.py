@@ -139,10 +139,8 @@ def test_rational_sequence_ops():
     assert (a * b).values == (1, 2, 4)
     assert (a - b).values == (0, 1, 3)
     assert (2 * a).values == (2, 4, 8, 16)
-    assert a.shift().values == (2, 4, 8)
     assert a.delta().values == (-1, -2, -4)
     assert a.delta(2).values == (1, 2)
-    assert RationalSequence.constant(7, 3).values == (7, 7, 7, 7)
     assert a.horizon == 3
     with pytest.raises(ValueError):
         a.delta(5)

@@ -8,23 +8,17 @@ from mzv.indices import (
     PHI,
     Combination,
     MultiIndex,
-    SubsetCode,
     _index,
     _key,
     all_indices,
     as_combination,
-    assemble,
     coarsen,
     coarsen_inv,
     concat,
-    decode_subset,
-    drop_last,
     dual,
-    encode_subset,
     format_combination,
     format_index,
     idx,
-    lower_last,
     merge_concat,
     ones,
     parse_combination,
@@ -33,7 +27,6 @@ from mzv.indices import (
     raise_last,
     refine,
     refine_inv,
-    refines,
     reverse,
     signed,
 )
@@ -55,23 +48,6 @@ def test_multiindex_rejects_bad_parts():
     for bad in [(0,), (-1,), (1.5,), (True,), ("2",)]:
         with pytest.raises((ValueError, TypeError)):
             MultiIndex(bad)
-
-
-def test_subset_code_examples():
-    assert encode_subset((2, 2, 1)) == SubsetCode(5, frozenset({2, 4}))
-    assert encode_subset((1, 1, 3)) == SubsetCode(5, frozenset({1, 2}))
-    assert encode_subset((4,)) == SubsetCode(4, frozenset())
-    assert decode_subset(SubsetCode(5, frozenset({2, 4}))) == (2, 2, 1)
-    with pytest.raises(ValueError):
-        encode_subset(PHI)
-    with pytest.raises(ValueError):
-        decode_subset(SubsetCode(3, frozenset({3})))
-
-
-def test_subset_code_roundtrip():
-    for w in range(1, 8):
-        for mu in all_indices(w):
-            assert decode_subset(encode_subset(mu)) == mu
 
 
 def test_all_indices_counts_and_order():
@@ -101,16 +77,6 @@ def test_dual_involution_and_length():
         for mu in all_indices(w):
             assert dual(dual(mu)) == mu
             assert mu.length + dual(mu).length == w + 1
-
-
-def test_refines():
-    assert refines((1, 1, 1), (3,))
-    assert refines((1, 2), (3,))
-    assert not refines((3,), (1, 2))
-    assert refines((2, 1), (2, 1))
-    assert not refines((2, 1), (1, 2))
-    assert not refines((2,), (3,))  # weight mismatch
-    assert refines(PHI, PHI)
 
 
 def test_combination_arithmetic():
@@ -197,17 +163,9 @@ def test_dual_swaps_concat_and_merge():
                     assert lhs == rhs
 
 
-def test_raise_lower_drop():
+def test_raise_last():
     assert raise_last(idx(2, 1)) == (2, 2)
     assert raise_last(PHI) == (1,)
-    assert lower_last(idx(2, 2)) == (2, 1)
-    assert lower_last(idx(2, 1)) == (2,)
-    assert lower_last(idx(1)) == PHI
-    assert drop_last(idx(2, 1)) == (2,)
-    with pytest.raises(ValueError):
-        lower_last(PHI)
-    with pytest.raises(ValueError):
-        drop_last(PHI)
     x = Combination([((1, 1), 1), ((2,), -1)])
     assert raise_last(x) == Combination([((1, 2), 1), ((3,), -1)])
 
@@ -223,9 +181,19 @@ def test_partition_examples():
         partition((2, 2), [5, -1])
 
 
-def test_partition_assemble_roundtrip():
-    import itertools
+def _assemble(mu, blocks):
+    # rejoin the partition blocks of mu, fusing the parts that a cut split
+    key = _key(mu)
+    out, pos = PHI, 0
+    for block in blocks:
+        # a cut at 0 or at a partial sum of mu falls between parts
+        joined = concat(out, block) if not pos or key >> pos - 1 & 1 else merge_concat(out, block)
+        (out,) = joined.support()
+        pos += block.weight
+    return out
 
+
+def test_partition_assemble_roundtrip():
     for w in range(1, 7):
         for mu in all_indices(w):
             for r in range(1, 4):
@@ -233,7 +201,7 @@ def test_partition_assemble_roundtrip():
                     if sum(sizes) != w:
                         continue
                     blocks = partition(mu, sizes)
-                    assert assemble(mu, blocks) == mu
+                    assert _assemble(mu, blocks) == mu
 
 
 def test_format_and_parse_index():
@@ -269,20 +237,33 @@ def test_parse_format_roundtrip_is_canonical():
         for mu in all_indices(w):
             x = Combination.term(mu, Fraction(-7, 3)) + Combination.term(ones(w), 5)
             assert parse_combination(format_combination(x)) == x
+    # the zero combination prints as 0 and reads back
+    assert parse_combination(format_combination(Combination.zero())) == Combination.zero()
+    assert parse_combination(" 0\n") == Combination.zero()
 
 
 # -- the frozenset operators that the mark masks replaced, as oracles --------
 
 
+def _encode_subset(mu):
+    # the weight and the frozenset of the proper partial sums
+    return mu.weight, frozenset(itertools.accumulate(mu[:-1]))
+
+
+def _decode_subset(m, marks):
+    cuts = [0] + sorted(marks) + [m]
+    return MultiIndex(b - a for a, b in zip(cuts, cuts[1:]))
+
+
 def _oracle_refinements(mu):
     if not mu:
         return Combination.term(PHI)
-    m, marks = encode_subset(mu)
+    m, marks = _encode_subset(mu)
     free = sorted(frozenset(range(1, m)) - marks)
     out = Combination()
     for r in range(len(free) + 1):
         for extra in itertools.combinations(free, r):
-            nu = decode_subset(SubsetCode(m, marks | frozenset(extra)))
+            nu = _decode_subset(m, marks | frozenset(extra))
             out += Combination.term(nu)
     return out
 
@@ -290,12 +271,12 @@ def _oracle_refinements(mu):
 def _oracle_coarsenings(mu):
     if not mu:
         return Combination.term(PHI)
-    m, marks = encode_subset(mu)
+    m, marks = _encode_subset(mu)
     marks = sorted(marks)
     out = Combination()
     for r in range(len(marks) + 1):
         for kept in itertools.combinations(marks, r):
-            nu = decode_subset(SubsetCode(m, frozenset(kept)))
+            nu = _decode_subset(m, kept)
             out += Combination.term(nu)
     return out
 
@@ -303,8 +284,8 @@ def _oracle_coarsenings(mu):
 def _oracle_dual_index(mu):
     if not mu:
         return PHI
-    m, marks = encode_subset(mu)
-    return decode_subset(SubsetCode(m, frozenset(range(1, m)) - marks))
+    m, marks = _encode_subset(mu)
+    return _decode_subset(m, frozenset(range(1, m)) - marks)
 
 
 def _oracle_signed(x):
@@ -323,7 +304,7 @@ def _oracle_all_indices(weight):
     if weight == 0:
         return [PHI]
     out = [
-        decode_subset(SubsetCode(weight, frozenset(marks)))
+        _decode_subset(weight, marks)
         for r in range(weight)
         for marks in itertools.combinations(range(1, weight), r)
     ]
@@ -347,12 +328,6 @@ def test_mark_mask_operators_match_the_frozenset_oracle():
             assert dual(mu) == _oracle_dual_index(mu)
             assert type(dual(mu)) is MultiIndex
             assert dual(x) == x.map_terms(_oracle_dual_index)
-    for w in range(0, 8):
-        indices = all_indices(w)
-        for mu in indices:
-            for nu in indices:
-                want = not mu or encode_subset(nu).marks <= encode_subset(mu).marks
-                assert refines(mu, nu) == want, (mu, nu)
 
 
 def test_mark_mask_operators_on_mixed_combinations():

@@ -12,7 +12,6 @@ from mzv.indices import (
     as_combination,
     coarsen,
     concat,
-    drop_last,
     idx,
     merge_concat,
     raise_last,
@@ -23,7 +22,6 @@ from mzv.products import (
     circ,
     circ_bar,
     enumerate_stuffle,
-    mult_by,
     stuffle,
     stuffle_bar,
     stuffle_bar_via_matrices,
@@ -180,8 +178,8 @@ def test_refine_coarsen_against_concat_products():
 def test_drop_last_part_recursion():
     # the product satisfies the standard last-part recursion
     for mu, nu in _pairs(7):
-        head_mu = drop_last(mu)
-        head_nu = drop_last(nu)
+        head_mu = MultiIndex(mu[:-1])
+        head_nu = MultiIndex(nu[:-1])
         expanded = (
             concat(stuffle(head_mu, as_combination(nu)), idx(mu[-1]))
             + concat(stuffle(as_combination(mu), head_nu), idx(nu[-1]))
@@ -238,12 +236,9 @@ def test_circ_fuses_last_parts():
     # mu (*) nu = (mu' * nu') # (mu_p + nu_q), and the signed variant
     for mu, nu in _pairs(7):
         fused = idx(mu[-1] + nu[-1])
-        assert circ(mu, nu) == concat(
-            stuffle(drop_last(mu), drop_last(nu)), fused
-        )
-        assert circ_bar(mu, nu) == concat(
-            stuffle_bar(drop_last(mu), drop_last(nu)), fused
-        )
+        head_mu, head_nu = MultiIndex(mu[:-1]), MultiIndex(nu[:-1])
+        assert circ(mu, nu) == concat(stuffle(head_mu, head_nu), fused)
+        assert circ_bar(mu, nu) == concat(stuffle_bar(head_mu, head_nu), fused)
 
 
 def test_circ_on_keys_matches_the_tuple_definition():
@@ -290,11 +285,3 @@ def test_products_are_bilinear():
         (a * b * circ(mu, nu) for mu, a in x.terms() for nu, b in y.terms()),
         Combination.zero(),
     )
-
-
-def test_mult_by_is_left_multiplication():
-    times_one = mult_by(idx(1))
-    x = as_combination((2,))
-    assert times_one(x) == stuffle(idx(1), x)
-    assert times_one(times_one(x)) == stuffle(stuffle(idx(1), idx(1)), x)
-    assert mult_by(Combination.zero())(x) == Combination.zero()

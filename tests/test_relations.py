@@ -1,4 +1,3 @@
-import json
 from fractions import Fraction
 
 import pytest
@@ -157,33 +156,6 @@ def test_ohno_relations_match_operator_application():
                 int(s) for s in mu_text.strip("()").split(",") if s
             )
             assert rel.element == ohno_u(r, duality_element(base))
-
-
-def test_linear_relation_json_roundtrip():
-    rel = duality_relation(idx(2))
-    data = rel.to_json()
-    assert data == {
-        "weight": 2,
-        "provenance": "duality((2))",
-        "terms": [
-            {"index": [1, 1], "num": -1, "den": 1},
-            {"index": [2], "num": 1, "den": 1},
-        ],
-    }
-    assert LinearRelation.from_json(data) == rel
-    # survives an actual serialization pass
-    again = LinearRelation.from_json(json.loads(json.dumps(data)))
-    assert again == rel
-
-
-def test_json_keeps_exact_fractions():
-    rel = LinearRelation(
-        Combination.term((2,), Fraction(22, 7)), "synthetic", 2
-    )
-    data = rel.to_json()
-    assert data["terms"][0]["num"] == 22
-    assert data["terms"][0]["den"] == 7
-    assert LinearRelation.from_json(data).element.coefficient((2,)) == Fraction(22, 7)
 
 
 def test_quadratic_relation_structure():

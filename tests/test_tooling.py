@@ -41,6 +41,30 @@ def test_no_unused_imports_in_package():
     assert found == []
 
 
+def test_no_orphan_code_in_package():
+    # every module-level function or class is read by some other top-level
+    # statement of the package or exported by mzv/__init__.py; the exceptions
+    # are the paper objects and oracles that only the tests read
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    exported = {a.asname or a.name for node in trees["__init__"].body
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    reads = [(top, {ref.id if isinstance(ref, ast.Name) else ref.attr for ref in ast.walk(top)
+                    if isinstance(ref, (ast.Name, ast.Attribute))})
+             for tree in trees.values() for top in tree.body]
+    orphans = [
+        "%s.%s" % (stem, node.name)
+        for stem, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in exported
+        and not any(node.name in names for top, names in reads if top is not node)
+    ]
+    assert sorted(orphans) == [
+        "harmonic.seq_A", "harmonic.seq_S", "harmonic.seq_a", "numeric._truncated",
+        "ohno.ohno_bar_u_blocks", "ohno.ohno_ones_blocks", "ohno.ohno_u_blocks",
+        "products.stuffle_bar_via_matrices", "products.stuffle_cache_clear",
+        "relations.newton_series_coefficients",
+    ]
+
+
 def test_benchmark_self_check():
     # the benchmark's tracer hooks functions by name; its self-check fails on a
     # hook that no longer fires or a command whose output changed
@@ -120,4 +144,4 @@ def test_readme_and_docstring_examples_run():
         result = doctest.testmod(importlib.import_module("mzv." + path.stem))
         assert result.failed == 0, path.name
         attempted += result.attempted
-    assert attempted == 7
+    assert attempted == 6

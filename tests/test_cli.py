@@ -39,6 +39,13 @@ def test_apply_refine(capsys):
     assert out == "(1,1) + (2)\n"
 
 
+def test_apply_reads_back_the_zero_it_prints(capsys):
+    code, out, _ = run(["apply", "refine", "(1)-(1)"], capsys)
+    assert (code, out) == (0, "0\n")
+    code, out, err = run(["apply", "refine", "0"], capsys)
+    assert (code, out, err) == (0, "0\n", "")
+
+
 def test_apply_reverse_of_empty(capsys):
     code, out, _ = run(["apply", "tau", "phi"], capsys)
     assert code == 0

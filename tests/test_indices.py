@@ -79,6 +79,23 @@ def test_dual_involution_and_length():
             assert mu.length + dual(mu).length == w + 1
 
 
+def test_refines():
+    # mu refines nu exactly when mu is a term of refine(nu), and then nu is a
+    # term of coarsen(mu)
+    def refines(mu, nu):
+        fine = mu in refine(nu).support()
+        assert fine == (nu in coarsen(mu).support())
+        return fine
+
+    assert refines(idx(1, 1, 1), idx(3))
+    assert refines(idx(1, 2), idx(3))
+    assert not refines(idx(3), idx(1, 2))
+    assert refines(idx(2, 1), idx(2, 1))
+    assert not refines(idx(2, 1), idx(1, 2))
+    assert not refines(idx(2), idx(3))  # weight mismatch
+    assert refines(PHI, PHI)
+
+
 def test_combination_arithmetic():
     x = Combination.term((2,), 2) + Combination.term((1, 1), Fraction(1, 2))
     y = x - Combination.term((2,), 2)
@@ -253,6 +270,26 @@ def _encode_subset(mu):
 def _decode_subset(m, marks):
     cuts = [0] + sorted(marks) + [m]
     return MultiIndex(b - a for a, b in zip(cuts, cuts[1:]))
+
+
+def test_subset_code_examples():
+    # the paper codes an index of weight m by its proper partial sums
+    assert _encode_subset(idx(2, 2, 1)) == (5, frozenset({2, 4}))
+    assert _encode_subset(idx(1, 1, 3)) == (5, frozenset({1, 2}))
+    assert _encode_subset(idx(4)) == (4, frozenset())
+    assert _decode_subset(5, {2, 4}) == (2, 2, 1)
+    with pytest.raises(ValueError):
+        _decode_subset(3, {3})
+
+
+def test_subset_code_roundtrip():
+    # the frozenset coding round-trips, and the mark key holds the same marks
+    # as bits under the top bit of the weight
+    for w in range(1, 8):
+        for mu in all_indices(w):
+            m, marks = _encode_subset(mu)
+            assert _decode_subset(m, marks) == mu
+            assert _key(mu) == 1 << m - 1 | sum(1 << s - 1 for s in marks)
 
 
 def _oracle_refinements(mu):

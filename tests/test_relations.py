@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from mzv.relations import (
     ohno_relations,
     quadratic_relation,
     stuffle_rows,
+    terms_json,
     verify_reversal_telescope,
 )
 
@@ -156,6 +158,28 @@ def test_ohno_relations_match_operator_application():
                 int(s) for s in mu_text.strip("()").split(",") if s
             )
             assert rel.element == ohno_u(r, duality_element(base))
+
+
+def test_linear_relation_json_roundtrip():
+    # a relation's element survives a JSON pass through terms_json
+    rel = duality_relation(idx(2))
+    data = terms_json(rel.element)
+    assert data == [
+        {"index": [1, 1], "num": -1, "den": 1},
+        {"index": [2], "num": 1, "den": 1},
+    ]
+    again = json.loads(json.dumps(data))
+    rebuilt = Combination([(tuple(t["index"]), Fraction(t["num"], t["den"])) for t in again])
+    assert rebuilt == rel.element
+
+
+def test_json_keeps_exact_fractions():
+    rel = LinearRelation(
+        Combination.term((2,), Fraction(22, 7)), "synthetic", 2
+    )
+    data = terms_json(rel.element)
+    assert data == [{"index": [2], "num": 22, "den": 7}]
+    assert type(data[0]["num"]) is int and type(data[0]["den"]) is int
 
 
 def test_quadratic_relation_structure():

@@ -195,11 +195,18 @@ def _stuffle_entries(k: int) -> int:
                for a in range(1, k // 2 + 1) for p in range(1, a + 1) for q in range(1, k - a + 1))
 
 
+def _rank(k: int, rows, exact: bool) -> int:
+    """The exact or GF(2) rank of weight-k rows, taken sparsest first to keep
+    the fill-in small; the matrix is freed before the caller builds the next."""
+    span = RelationMatrix(k, sorted(rows, key=len))
+    return span.rank() if exact else span.modular_rank()
+
+
 def cmd_rank_table(args) -> int:
     if not 2 <= args.k_min <= args.k_max <= HARD_WEIGHT_CAP:
         print("mzv: need 2 <= k-min <= k-max <= %d" % HARD_WEIGHT_CAP, file=sys.stderr)
         return 2
-    # both modes build the stuffle rows, about 200 bytes per entry (GF(2) pivots: ncols**2 bits)
+    # both modes build the stuffle rows, about 160 bytes per entry (GF(2) pivots: ncols**2 bits)
     entries = _stuffle_entries(args.k_max)
     if entries > MODULAR_ROW_ENTRIES:
         mode = "modular" if args.k_max > args.exact_up_to else "exact"
@@ -213,19 +220,15 @@ def cmd_rank_table(args) -> int:
     rows = []
     for k in range(args.k_min, args.k_max + 1):
         exact = k <= args.exact_up_to
-        # g = refine . signed is a bijection, so the raw stuffle rows have the
-        # rank of the Kawashima rows; sparsest first keeps the fill-in small
-        span = RelationMatrix(k, sorted(stuffle_rows(k), key=len))
-        shift_span = RelationMatrix(k, sorted((r.element for r in ohno_relations(k)), key=len))
-        rank = span.rank() if exact else span.modular_rank()
-        shift_rank = shift_span.rank() if exact else shift_span.modular_rank()
         rows.append(
             {
                 "k": k,
                 "zagier": lyndon.zagier_dim(k),
                 "formula": lyndon.dimension_formula(k),
-                "rank": rank,
-                "ohno_rank": shift_rank,
+                # g = refine . signed is a bijection, so the raw stuffle rows
+                # have the rank of the Kawashima rows
+                "rank": _rank(k, stuffle_rows(k), exact),
+                "ohno_rank": _rank(k, (r.element for r in ohno_relations(k)), exact),
                 "mode": "exact" if exact else "modular-lower-bound",
             }
         )
@@ -290,10 +293,10 @@ def _suite_theorem310(args) -> list[dict]:
     for w in range(1, cap + 1):
         for mu in all_indices(w):
             d = seq_s(mu, grid + grid)
-            star = dual(mu)
+            table = seq_s2(mu, dual(mu), grid, grid)
             for k in range(grid + 1):
                 for n in range(grid + 1):
-                    if d[n] != seq_s2(mu, star, n, k):
+                    if d[n] != table[n][k]:
                         ok = False
                 if k < grid:  # row k + 1 of the difference table; none past the last
                     d = d.delta()

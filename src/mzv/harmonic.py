@@ -19,8 +19,8 @@ equal-weight indices: both chains are run simultaneously, each of the
 the second (entry ``i`` is used ``mu_i`` times, entry ``j`` is used ``nu_j``
 times, both in increasing order), and the total is divided by the binomial
 coefficient ``C(n+k, n)``.  Specialising either argument to 0 recovers
-``seq_s`` of the other index.  ``seq_s2_table`` returns all of these values
-for ``a <= n``, ``b <= k`` from the one DP that the corner value needs.
+``seq_s`` of the other index.  One call returns the values at every
+``a <= n``, ``b <= k`` from the one DP that the corner value needs.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ ONE = Fraction(1)
 
 
 class RationalSequence:
-    """Exact values ``a(0), .., a(horizon)`` with pointwise arithmetic."""
+    """Exact values ``a(0), .., a(horizon)``."""
 
     __slots__ = ("values",)
 
@@ -67,25 +67,6 @@ class RationalSequence:
         shown = ", ".join(str(v) for v in self.values[:6])
         more = ", .." if len(self.values) > 6 else ""
         return "RationalSequence([%s%s])" % (shown, more)
-
-    def _pointwise(self, other, op):
-        if isinstance(other, RationalSequence):
-            n = min(len(self.values), len(other.values))
-            return RationalSequence(op(a, b) for a, b in zip(self.values[:n], other.values[:n]))
-        other = Fraction(other)
-        return RationalSequence(op(a, other) for a in self.values)
-
-    def __add__(self, other):
-        return self._pointwise(other, lambda a, b: a + b)
-
-    def __sub__(self, other):
-        return self._pointwise(other, lambda a, b: a - b)
-
-    def __mul__(self, other):
-        return self._pointwise(other, lambda a, b: a * b)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
 
     def _rows(self):
         """The rows of the difference table: ``a``, ``delta a``, ``delta**2 a``, .."""
@@ -163,22 +144,15 @@ def _step_labels(mu: MultiIndex) -> list[int]:
     return out
 
 
-def seq_s2(mu, nu, n: int, k: int) -> Fraction:
-    """The normalised two-chain sum for equal-weight indices ``mu``, ``nu``.
-
-    Read from :func:`seq_s2_table` on the grid ``n | 7`` by ``k | 7``, which
-    is memoised, so a sweep over the arguments of a small grid costs one DP.
-    """
-    return seq_s2_table(mu, nu, n | 7, k | 7)[n][k]
-
-
-def seq_s2_table(mu, nu, n: int, k: int) -> tuple[tuple[Fraction, ...], ...]:
-    """``seq_s2(mu, nu, a, b)`` for every ``a <= n``, ``b <= k``, as rows by ``a``.
+def seq_s2(mu, nu, n: int, k: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The normalised two-chain sums of equal-weight indices ``mu``, ``nu`` at
+    every ``a <= n``, ``b <= k``, as rows by ``a``: entry ``[a][b]`` is the
+    value at ``(a, b)``.
 
     Runs a joint chain DP: state (a, b) holds the current entries of the two
     chains, each factor contributes 1/(a+b+1), and a chain entry advances
     exactly where its index prescribes.  Entry (a, b) of the grid reads only
-    entries with a' <= a and b' <= b, so one grid serves all smaller arguments.
+    entries with a' <= a and b' <= b, so the corner's DP gives them all.
     """
     mu, nu = as_index(mu), as_index(nu)
     if not mu or not nu:
@@ -187,11 +161,6 @@ def seq_s2_table(mu, nu, n: int, k: int) -> tuple[tuple[Fraction, ...], ...]:
         raise ValueError("indices must have equal weight")
     if n < 0 or k < 0:
         raise ValueError("arguments must be non-negative")
-    return _s2_table(mu, nu, n, k)
-
-
-@lru_cache(maxsize=1024)
-def _s2_table(mu: MultiIndex, nu: MultiIndex, n: int, k: int) -> tuple:
     left = _step_labels(mu)
     right = _step_labels(nu)
     m = mu.weight

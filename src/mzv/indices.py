@@ -220,7 +220,7 @@ class Combination:
         return (-1) * self
 
     def __mul__(self, scalar) -> "Combination":
-        scalar = _coeff(Fraction(scalar) if not isinstance(scalar, (int, Fraction)) else scalar)
+        scalar = _coeff(scalar)
         out = Combination()
         if scalar:
             out._terms = {k: _coeff(scalar * c) for k, c in self._terms.items()}

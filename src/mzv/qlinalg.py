@@ -2,8 +2,9 @@
 
 A :class:`RelationMatrix` stores a list of weight-``k`` combinations as rows
 over the column basis of all weight-``k`` indices (sorted by parts).  Each row
-is kept once as a sparse integer row ``den * row`` with ``den`` the lcm of its
-denominators, and both eliminations below read only that form.
+is stored once, as the given combination.  Both eliminations below read it as
+a sparse integer row ``den * row`` over column positions, with ``den`` the lcm
+of its denominators, made one row at a time as the elimination reaches it.
 
 Both follow one pivot rule: the rows are taken in input order, each is
 reduced against the pivot rows before it, and a row that stays non-zero
@@ -52,13 +53,11 @@ class RelationMatrix:
         self.columns = all_indices(self.weight)
         self._colpos = {_key(mu): j for j, mu in enumerate(self.columns)}
         self.rows: list[Combination] = []
-        self._integer: list[tuple[dict, int]] = []
         for row in rows:
             row = as_combination(row)
             if row and row.homogeneous_weight() != self.weight:
                 raise ValueError("row has the wrong weight for this matrix")
             self.rows.append(row)
-            self._integer.append(self._integer_row(row))
         self._echelon = None
 
     @classmethod
@@ -94,7 +93,7 @@ class RelationMatrix:
         integer multiples M of earlier echelon rows, D * den)."""
         if self._echelon is None:
             ech = []
-            for i, (row, den) in enumerate(self._integer):
+            for i, (row, den) in enumerate(map(self._integer_row, self.rows)):
                 vec, multiples, scale = _reduce(row, ech)
                 if vec:
                     ech.append((min(vec), vec, i, multiples, scale * den))
@@ -150,7 +149,7 @@ class RelationMatrix:
         """
         top = self.ncols - 1
         pivots = {}
-        for row, _ in self._integer:
+        for row, _ in map(self._integer_row, self.rows):
             g = gcd(*row.values())
             v = sum(1 << top - j for j, c in row.items() if c // g & 1)
             while v:

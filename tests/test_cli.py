@@ -9,7 +9,7 @@ import pytest
 
 from mzv import cli, products
 from mzv.harmonic import seq_s2
-from mzv.indices import Combination
+from mzv.indices import Combination, all_indices
 from mzv.relations import stuffle_rows
 
 
@@ -185,8 +185,10 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 def test_theorem310_fails_on_one_wrong_cell_of_the_two_chain_sums(capsys, monkeypatch):
     # the last cell of the last row: a walk that stopped short would miss it
     def planted(mu, nu, n, k):
-        value = seq_s2(mu, nu, n, k)
-        return value + 1 if (mu, n, k) == ((1, 2), 3, 3) else value
+        table = [list(row) for row in seq_s2(mu, nu, n, k)]
+        if mu == (1, 2):
+            table[3][3] += 1
+        return table
 
     monkeypatch.setattr(cli, "seq_s2", planted)
     code, out, _ = run(["verify", "theorem310", "--weight", "3", "--grid", "3"], capsys)
@@ -196,6 +198,20 @@ def test_theorem310_fails_on_one_wrong_cell_of_the_two_chain_sums(capsys, monkey
         "ok   binomial transform sends chains to dual chains",
         "2 checks, FAILURES",
     ]
+
+
+def test_theorem310_reads_one_two_chain_table_per_index(capsys, monkeypatch):
+    calls = []
+
+    def recorded(mu, nu, n, k):
+        calls.append((mu, n, k))
+        return seq_s2(mu, nu, n, k)
+
+    monkeypatch.setattr(cli, "seq_s2", recorded)
+    code, out, _ = run(["verify", "theorem310", "--weight", "3", "--grid", "2"], capsys)
+    assert code == 0 and out.splitlines()[-1] == "2 checks, all passed"
+    indices = [mu for w in range(1, 4) for mu in all_indices(w)]
+    assert calls == [(mu, 2, 2) for mu in indices]
 
 
 def test_identities_fail_on_a_matrix_sum_missing_one_term(capsys, monkeypatch):

@@ -110,6 +110,17 @@ def test_combination_arithmetic():
         (x + Combination.term((3,))).homogeneous_weight()
 
 
+def test_scalar_multiples_take_only_exact_scalars():
+    x = Combination.term((1,))
+    assert format_combination(3 * x) == "3*(1)"
+    assert format_combination(x * Fraction(1, 3)) == "1/3*(1)"
+    assert type((Fraction(4, 2) * x).coefficient((1,))) is int
+    # the constructor and term() reject a float, and so does a product
+    for product in (lambda: 0.1 * x, lambda: x * 0.5, lambda: True * x):
+        with pytest.raises(TypeError):
+            product()
+
+
 def test_combination_terms_sorted_canonically():
     x = Combination([((2,), 1), ((1, 1), 1), ((1, 1, 1), 1)])
     assert [mu for mu, _ in x.terms()] == [(1, 1), (1, 1, 1), (2,)]

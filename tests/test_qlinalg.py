@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
@@ -61,6 +62,21 @@ def test_the_all_integer_row_path_equals_the_lcm_path():
         assert 6 % den == 0 and vec == {j: c * den // 6 for j, c in whole.items()}
 
 
+def test_a_matrix_stores_its_rows_once():
+    # the integer form of a row exists only while an elimination reads it:
+    # building the weight-10 stuffle matrix and taking its GF(2) rank stays
+    # under 10 bytes per row entry (a second stored copy costs about 47)
+    rows = sorted(stuffle_rows(10), key=len)
+    entries = sum(map(len, rows))
+    tracemalloc.start()
+    try:
+        assert RelationMatrix(10, rows).modular_rank() == 413
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * entries, peak / entries
+
+
 def test_rejects_mixed_weight_rows():
     with pytest.raises(ValueError):
         RelationMatrix(3, [comb("(2)")])
@@ -103,16 +119,20 @@ def test_member_rejects_a_certificate_built_from_a_corrupted_integer_row():
     x = duality_element(idx(2, 1, 1, 2))
     cert = RelationMatrix.from_relations(relations).member(x)
     assert cert is not None
+    corruptions = (lambda row, den: (row, 2 * den),
+                   lambda row, den: ({j: 3 * c for j, c in row.items()}, den))
     for i in (i for i, c in enumerate(cert) if c):
-        span = RelationMatrix.from_relations(relations)
-        row, den = span._integer[i]
-        span._integer[i] = (row, 2 * den)
-        with pytest.raises(AssertionError, match="re-verification"):
-            span.member(x)
-        span = RelationMatrix.from_relations(relations)
-        span._integer[i] = ({j: 3 * c for j, c in row.items()}, den)
-        with pytest.raises(AssertionError, match="re-verification"):
-            span.member(x)
+        for corrupt in corruptions:
+            span = RelationMatrix.from_relations(relations)
+            integer_row = span._integer_row
+
+            def corrupted(row, i=i, corrupt=corrupt, span=span, integer_row=integer_row):
+                vec, den = integer_row(row)
+                return corrupt(vec, den) if row is span.rows[i] else (vec, den)
+
+            span._integer_row = corrupted
+            with pytest.raises(AssertionError, match="re-verification"):
+                span.member(x)
 
 
 def test_duality_certificates_are_exact_fractions():
@@ -307,7 +327,7 @@ def _rank_mod(matrix, p):
     clears its column from the later rows that are non-zero there, only in
     its own non-zero columns."""
     m = np.zeros((matrix.nrows, matrix.ncols), dtype=np.int64)
-    for i, (row, _) in enumerate(matrix._integer):
+    for i, (row, _) in enumerate(map(matrix._integer_row, matrix.rows)):
         m[i, list(row)] = [c % p for c in row.values()]
     rank = 0
     for i in range(matrix.nrows):

@@ -14,7 +14,7 @@ phi is 0, ``bit_length()`` is the weight and ``bit_count()`` the length.
 Indices appear only where terms come in or go out, decoded once per key by
 the cached :func:`_index`.  On keys the operators are bit operations:
 
-* ``reverse``      -- reverse the parts of every index (termwise on indices),
+* ``reverse``      -- mirror the marks below the top bit,
 * ``signed``       -- multiply each term by (-1)**length, the parity of ``bit_count()``,
 * ``dual``         -- complement the marks: XOR the bits below the top bit,
 * ``refine``       -- sum over the supersets of the marks below the top bit,
@@ -166,12 +166,17 @@ class Combination:
             _accumulate(self._terms, ((_key(as_index(mu)), _coeff(c)) for mu, c in items))
 
     @classmethod
-    def term(cls, mu: IndexLike, coeff: Coeff = 1) -> "Combination":
-        out = cls()
-        coeff = _coeff(coeff)
-        if coeff:
-            out._terms[_key(as_index(mu))] = coeff
+    def _of(cls, terms: dict) -> "Combination":
+        """Wrap the key dict ``terms`` without copying it.  No combination's dict changes
+        after it is built: ``__hash__`` hashes it, and ``stuffle_rows`` shares the memo's."""
+        out = object.__new__(cls)
+        out._terms = terms
         return out
+
+    @classmethod
+    def term(cls, mu: IndexLike, coeff: Coeff = 1) -> "Combination":
+        coeff = _coeff(coeff)
+        return cls._of({_key(as_index(mu)): coeff} if coeff else {})
 
     @classmethod
     def zero(cls) -> "Combination":
@@ -209,36 +214,21 @@ class Combination:
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other) -> "Combination":
-        out = Combination()
-        out._terms = _accumulate(dict(self._terms), as_combination(other)._terms.items())
-        return out
+        return Combination._of(_accumulate(dict(self._terms), as_combination(other)._terms.items()))
 
     def __sub__(self, other) -> "Combination":
-        return self + (-1) * as_combination(other)
+        return Combination._of(
+            _accumulate(dict(self._terms), as_combination(other)._terms.items(), -1))
 
     def __neg__(self) -> "Combination":
         return (-1) * self
 
     def __mul__(self, scalar) -> "Combination":
         scalar = _coeff(scalar)
-        out = Combination()
-        if scalar:
-            out._terms = {k: _coeff(scalar * c) for k, c in self._terms.items()}
-        return out
+        return Combination._of({k: _coeff(scalar * c) for k, c in self._terms.items()}
+                               if scalar else {})
 
     __rmul__ = __mul__
-
-    def map_terms(self, f) -> "Combination":
-        """Linear extension: apply ``f`` (index -> index or Combination) termwise."""
-        out = Combination()
-        data = out._terms
-        for k, c in self._terms.items():
-            image = f(_index(k))
-            if isinstance(image, Combination):
-                _accumulate(data, image._terms.items(), c)
-            else:
-                _accumulate(data, ((_key(as_index(image)), c),))
-        return out
 
     def homogeneous_weight(self) -> int:
         """The common weight of all terms; raises if mixed or zero."""
@@ -263,27 +253,29 @@ def as_combination(x) -> Combination:
 # the index operators
 
 
+def _mirror(bits: int, width: int) -> int:
+    """The ``width`` low bits of ``bits`` in reverse order; ``bits`` has no higher bit."""
+    return int(format(bits, "b").zfill(width)[::-1], 2)
+
+
 def reverse(x):
     """Reverse the parts of every index (an involution)."""
-    if isinstance(x, (MultiIndex, tuple, list)):
-        return MultiIndex(reversed(as_index(x)))
-    return as_combination(x).map_terms(lambda mu: MultiIndex(reversed(mu)))
+    # the partial sum s of a weight-m index becomes m - s: the marks below the top mirror
+    return _rekey(x, lambda k: k and (top := 1 << k.bit_length() - 1)
+                  | _mirror(k ^ top, k.bit_length() - 1))
 
 
 def signed(x) -> Combination:
     """Multiply every index by (-1)**length."""
-    out = Combination()
-    out._terms = {k: -c if k.bit_count() & 1 else c for k, c in as_combination(x)._terms.items()}
-    return out
+    return Combination._of({k: -c if k.bit_count() & 1 else c
+                            for k, c in as_combination(x)._terms.items()})
 
 
 def _rekey(x, f):
     """Send the key ``k`` of an index, or of every term, to ``f(k)``; ``f`` is one-to-one."""
     if isinstance(x, (MultiIndex, tuple, list)):
         return _index(f(_key(as_index(x))))
-    out = Combination()
-    out._terms = {f(k): c for k, c in as_combination(x)._terms.items()}
-    return out
+    return Combination._of({f(k): c for k, c in as_combination(x)._terms.items()})
 
 
 def dual(x):
@@ -317,9 +309,7 @@ def _submask_sum(x, refining: bool) -> Combination:
             if not sub:
                 break
             sub = (sub - 1) & free
-    out = Combination()
-    out._terms = {k: c for k, c in acc.items() if c}
-    return out
+    return Combination._of({k: c for k, c in acc.items() if c})
 
 
 def refine_inv(x) -> Combination:
@@ -339,11 +329,11 @@ def coarsen_inv(x) -> Combination:
 def _bilinear(pair, x, y) -> Combination:
     """The bilinear extension of ``pair``, which maps two keys to a dict over keys."""
     right = as_combination(y)._terms.items()
-    out = Combination()
+    data = {}
     for k, c in as_combination(x)._terms.items():
         for l, d in right:
-            _accumulate(out._terms, pair(k, l).items(), c * d)
-    return out
+            _accumulate(data, pair(k, l).items(), c * d)
+    return Combination._of(data)
 
 
 def concat(x, y) -> Combination:

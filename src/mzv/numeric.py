@@ -9,10 +9,10 @@ x0 and x1 swapped; ``zeta(mu)`` is the sum over the cuts of the products of
 their ``Li(1/2) = sum over n_1 < .. < n_r of 2**-n_r / prod n_j**part_j``.
 These series run in fixed point, ``2**-bits`` units in Python integers,
 memoised per index: each floor division adds a unit to a counted error, and
-the tail past ``M`` terms is bounded (:func:`_half_series`).  Values and
-bounds add up exactly, and a relation passes when ``|value| <= bound`` on
-those exact numbers.  ``err`` is the bound plus the float rounding of
-``value``, rounded up.
+the tail past ``M`` terms is bounded (:func:`_half_series`).  The evaluator
+reads the mark keys as stored, in any order: values and bounds add up
+exactly, and a relation passes when ``|value| <= bound`` on those exact
+numbers.  ``err`` is the bound plus the float rounding of ``value``, rounded up.
 
 A weak chain sum is the strict sum over the coarsenings of its index, so
 :func:`zeta_bar` is :func:`zeta_strict` of :func:`~mzv.indices.coarsen`.
@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .indices import MultiIndex, _index, _key, as_combination, coarsen, format_index, raise_last
+from .indices import (MultiIndex, _index, _key, _mirror, as_combination, coarsen, format_index,
+                      raise_last)
 
 #: Fixed-point bits of the certified 1/2-series.
 CERTIFIED_BITS = 120
@@ -114,10 +115,11 @@ def _chain_partials(mu: MultiIndex, N: int) -> tuple:
     return full / (1 << _UNIT), half / (1 << _UNIT)
 
 
-def _convergent(mu: MultiIndex) -> MultiIndex:
-    if not mu or mu[-1] < 2:
-        raise ValueError("divergent index %s (last part must be >= 2)" % format_index(mu))
-    return mu
+def _convergent(k: int) -> int:
+    """The key ``k``, unless phi or a last part 1 (bit ``m-2`` of weight ``m``) diverges."""
+    if k < 2 or k >> k.bit_length() - 2 & 1:
+        raise ValueError("divergent index %s (last part must be >= 2)" % format_index(_index(k)))
+    return k
 
 
 def _truncated(x, N: int) -> tuple:
@@ -129,7 +131,8 @@ def _truncated(x, N: int) -> tuple:
         raise ValueError("the truncation bound must be >= 2")
     full = half = scale = 0.0
     for mu, c in as_combination(x).terms():
-        f, h = _chain_partials(_convergent(mu), N)
+        _convergent(_key(mu))
+        f, h = _chain_partials(mu, N)
         full += float(c) * f
         half += float(c) * h
         scale += abs(float(c)) * abs(f)
@@ -167,16 +170,17 @@ def _half_series(nu: MultiIndex, bits: int) -> tuple:
 
 
 @lru_cache(maxsize=1 << 10)
-def _holder(mu: MultiIndex, bits: int) -> tuple:
-    """``(V, E, M)`` with ``|4**bits * zeta(mu) - V| <= E``: a sum over the cuts of its word."""
-    m = mu.weight
-    word = (_key(mu) << 1 | 1) ^ 1 << m  # bit i: the letter i + 1 from 0, x1 when set
+def _holder(k: int, bits: int) -> tuple:
+    """``(V, E, M)`` with ``|4**bits * zeta(mu) - V| <= E`` for the index ``mu`` of
+    mark key ``k``: a sum over the cuts of its word."""
+    m = k.bit_length()
+    word = (k << 1 | 1) ^ 1 << m  # bit i: the letter i + 1 from 0, x1 when set
     V = E = M = 0
     for cut in range(m + 1):
         # the letters above the cut, reversed and complemented, and those below; the
         # marks of a weight-n word are its bits 1..n-1, and its key adds bit n-1
         top = m - cut
-        dual = int(format(word >> cut, "b").zfill(top)[::-1], 2) ^ ((1 << top) - 1)
+        dual = _mirror(word >> cut, top) ^ ((1 << top) - 1)
         a, ea, ma = _half_series(_index(dual >> 1 | 1 << top >> 1), bits)
         b, eb, mb = _half_series(_index((word & (1 << cut) - 1) >> 1 | 1 << cut >> 1), bits)
         V, E, M = V + a * b, E + a * eb + b * ea + ea * eb, max(M, ma, mb)
@@ -185,8 +189,8 @@ def _holder(mu: MultiIndex, bits: int) -> tuple:
 
 def _certified(x, bits: int) -> MzvEstimate:
     V = E = M = 0
-    for mu, c in as_combination(x).terms():
-        v, e, m = _holder(_convergent(mu), bits)
+    for k, c in as_combination(x)._terms.items():
+        v, e, m = _holder(_convergent(k), bits)
         V, E, M = V + c * v, E + abs(c) * e, max(M, m)
     return _rounded(Fraction(V, 1 << 2 * bits), Fraction(E, 1 << 2 * bits), M)
 

@@ -81,12 +81,11 @@ def ohno_u(r: int, x) -> Combination:
     """Apply the operator labelled by all refinements of the one-part index (r)."""
     if r < 0:
         raise ValueError("the shift amount must be >= 0")
-    out = Combination()
+    data = {}
     for k, c in as_combination(x)._terms.items():
         nu = _index(k)
-        _accumulate(out._terms, ((_key(map(add, nu, e)), c)
-                                 for e in _weak_compositions(r, len(nu))))
-    return out
+        _accumulate(data, ((_key(map(add, nu, e)), c) for e in _weak_compositions(r, len(nu))))
+    return Combination._of(data)
 
 
 def ohno_bar_u(r: int, x) -> Combination:

@@ -7,9 +7,11 @@ sum ``s``; phi is 0) through its one bilinear helper, so a product is never
 decoded.  ``_stuffle`` recurses on the last parts: dropping the last part
 clears the top bit, and appending the part that makes weight ``w`` sets bit
 ``w-1``.  It and ``_stuffle_bar`` keep every key-pair product they meet until
-:func:`stuffle_cache_clear`.  The slow oracle is Hoffman's definition:
-:func:`enumerate_stuffle` lists the two-row matrices as tuples of ``(top,
-bottom)`` columns, and the ``*_via_matrices`` sums read their column sums.
+:func:`stuffle_cache_clear`; ``relations.stuffle_rows`` hands out
+``_stuffle``'s own dicts as rows, so nothing may change a memoised dict.  The
+slow oracle is Hoffman's definition: :func:`enumerate_stuffle` lists the
+two-row matrices as tuples of ``(top, bottom)`` columns, and the
+``*_via_matrices`` sums read their column sums.
 
 ``stuffle_bar`` is not a second product but the length-sign twist of the
 first: ``stuffle_bar(x, y) = signed(stuffle(signed(x), signed(y)))``, so every
@@ -60,10 +62,8 @@ def enumerate_stuffle(mu, nu) -> list[tuple[tuple[int, int], ...]]:
 
 def _matrix_sum(mu, nu, sign) -> Combination:
     """The sum over the matrices of ``sign(width)`` at the key of the column sums."""
-    out = Combination()
-    _accumulate(out._terms, ((_key(a + b for a, b in cols), sign(len(cols)))
-                             for cols in enumerate_stuffle(mu, nu)))
-    return out
+    return Combination._of(_accumulate({}, ((_key(a + b for a, b in cols), sign(len(cols)))
+                                            for cols in enumerate_stuffle(mu, nu))))
 
 
 def stuffle_via_matrices(mu, nu) -> Combination:

@@ -55,7 +55,7 @@ class RelationMatrix:
         self.rows: list[Combination] = []
         for row in rows:
             row = as_combination(row)
-            if row and row.homogeneous_weight() != self.weight:
+            if not row._terms.keys() <= self._colpos.keys():
                 raise ValueError("row has the wrong weight for this matrix")
             self.rows.append(row)
         self._echelon = None
@@ -109,7 +109,7 @@ class RelationMatrix:
         re-verified before returning.
         """
         x = as_combination(x)
-        if any(k not in self._colpos for k in x._terms):
+        if not x._terms.keys() <= self._colpos.keys():
             return None
         echelon = self._echelon_form()
         vec, den = self._integer_row(x)

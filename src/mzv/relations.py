@@ -26,6 +26,7 @@ from fractions import Fraction
 from .indices import (
     Combination,
     MultiIndex,
+    _key,
     all_indices,
     as_combination,
     as_index,
@@ -39,7 +40,7 @@ from .indices import (
     signed,
 )
 from .ohno import ohno_u
-from .products import circ, stuffle
+from .products import _stuffle_keys, circ, stuffle
 
 
 def terms_json(x) -> list[dict]:
@@ -132,8 +133,9 @@ def stuffle_rows(weight: int) -> list[Combination]:
 
     Row ``i`` is mapped to the element of relation ``i`` by the involution
     ``g = refine . signed``, so both lists span spaces of the same dimension.
+    Each row wraps the product memo's own dict, so the rows are read-only.
     """
-    return [stuffle(mu, nu) for mu, nu in _pairs(weight)]
+    return [Combination._of(_stuffle_keys(_key(mu), _key(nu))) for mu, nu in _pairs(weight)]
 
 
 def duality_element(mu) -> Combination:

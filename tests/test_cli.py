@@ -304,20 +304,31 @@ def test_grid_at_the_hard_cap_still_runs(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--weight", "10", "--grid", "20"],
-     "--weight 10 with --grid 20 costs 2**10 * (21**2 + 15) = 466944, above the limit 131072"),
+    (["--weight", "12", "--grid", "20"],
+     "--weight 12 with --grid 20 costs 2**12 * (21**2 + 28) = 1921024, above the limit 1000000"),
     (["--weight", "20"],
-     "--weight 20 with --grid 6 costs 2**20 * (7**2 + 15) = 67108864, above the limit 131072"),
-    (["--weight", "9", "--grid", "20"],
-     "--weight 9 with --grid 20 costs 2**9 * (21**2 + 15) = 233472, above the limit 131072"),
-    (["--weight", "14", "--grid", "0"],
-     "--weight 14 with --grid 0 costs 2**14 * (1**2 + 15) = 262144, above the limit 131072"),
+     "--weight 20 with --grid 6 costs 2**20 * (7**2 + 28) = 80740352, above the limit 1000000"),
+    (["--weight", "16", "--grid", "0"],
+     "--weight 16 with --grid 0 costs 2**16 * (1**2 + 28) = 1900544, above the limit 1000000"),
+    (["--weight", "14", "--grid", "6"],
+     "--weight 14 with --grid 6 costs 2**14 * (7**2 + 28) = 1261568, above the limit 1000000"),
 ])
 def test_theorem310_refuses_a_weight_and_grid_it_cannot_finish_up_front(argv, message):
     # each of these ran past 60 s before the guard
     proc = _run_with_timeout(["verify", "theorem310", *argv])
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "mzv: verify theorem310: " + message + "\n"
+
+
+@pytest.mark.parametrize("weight, grid", [(15, 0), (14, 4), (13, 8), (12, 12), (11, 20)])
+def test_theorem310_admits_a_weight_and_grid_it_finished_within_a_minute(weight, grid, capsys,
+                                                                         monkeypatch):
+    # each of these finished within 60 s with the guard lifted; only the guard
+    # runs here, on no indices
+    monkeypatch.setattr(cli, "all_indices", lambda w: [])
+    code, out, _ = run(["verify", "theorem310", "--weight", str(weight), "--grid", str(grid)],
+                       capsys)
+    assert (code, out.splitlines()[-1]) == (0, "2 checks, all passed")
 
 
 def test_theorem310_defaults_still_run(capsys):

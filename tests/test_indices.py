@@ -336,16 +336,32 @@ def _oracle_dual_index(mu):
     return _decode_subset(m, frozenset(range(1, m)) - marks)
 
 
+def _termwise(x, f):
+    # the linear extension of f (index -> index or Combination), decoding every term
+    out = Combination()
+    for mu, c in x.terms():
+        out += c * as_combination(f(mu))
+    return out
+
+
 def _oracle_signed(x):
     return Combination((mu, (-1) ** len(mu) * c) for mu, c in x.terms())
 
 
 def _oracle_refine(x):
-    return x.map_terms(_oracle_refinements)
+    return _termwise(x, _oracle_refinements)
 
 
 def _oracle_coarsen(x):
-    return x.map_terms(_oracle_coarsenings)
+    return _termwise(x, _oracle_coarsenings)
+
+
+def _oracle_reverse_index(mu):
+    # the partial sum s becomes m - s
+    if not mu:
+        return PHI
+    m, marks = _encode_subset(mu)
+    return _decode_subset(m, frozenset(m - s for s in marks))
 
 
 def _oracle_all_indices(weight):
@@ -375,7 +391,10 @@ def test_mark_mask_operators_match_the_frozenset_oracle():
             assert signed(x) == _oracle_signed(x)
             assert dual(mu) == _oracle_dual_index(mu)
             assert type(dual(mu)) is MultiIndex
-            assert dual(x) == x.map_terms(_oracle_dual_index)
+            assert dual(x) == _termwise(x, _oracle_dual_index)
+            assert reverse(mu) == _oracle_reverse_index(mu)
+            assert type(reverse(mu)) is MultiIndex
+            assert reverse(x) == _termwise(x, _oracle_reverse_index)
 
 
 def test_mark_mask_operators_on_mixed_combinations():
@@ -391,7 +410,8 @@ def test_mark_mask_operators_on_mixed_combinations():
         assert coarsen(x) == _oracle_coarsen(x)
         assert refine_inv(x) == _oracle_signed(_oracle_refine(_oracle_signed(x)))
         assert coarsen_inv(x) == _oracle_signed(_oracle_coarsen(_oracle_signed(x)))
-        assert dual(x) == x.map_terms(_oracle_dual_index)
+        assert dual(x) == _termwise(x, _oracle_dual_index)
+        assert reverse(x) == _termwise(x, _oracle_reverse_index)
         assert 0 not in refine(x)._terms.values()
     # the shared refinement (1,1,1) cancels and leaves no zero term behind
     assert refine(Combination.term((1, 2)) + Combination.term((1, 1, 1), -1)) == Combination(

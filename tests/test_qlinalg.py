@@ -54,8 +54,7 @@ def test_the_all_integer_row_path_equals_the_lcm_path():
     # sums in Combination can leave) take the lcm path
     m = RelationMatrix(6, [])
     for row in stuffle_rows(6) + [r.element for r in ohno_relations(6)]:
-        as_fractions = Combination()
-        as_fractions._terms = {mu: Fraction(c) for mu, c in row._terms.items()}
+        as_fractions = Combination._of({k: Fraction(c) for k, c in row._terms.items()})
         assert m._integer_row(row) == m._integer_row(as_fractions)
         vec, den = m._integer_row(row * Fraction(1, 6))
         whole, _ = m._integer_row(row)

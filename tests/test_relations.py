@@ -1,10 +1,13 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from mzv import products
 from mzv.indices import (
     Combination,
+    _key,
     all_indices,
     coarsen,
     dual,
@@ -20,6 +23,7 @@ from mzv.qlinalg import RelationMatrix
 from mzv.relations import (
     LinearRelation,
     QuadraticRelation,
+    _pairs,
     duality_element,
     duality_relation,
     index_pairs,
@@ -99,6 +103,43 @@ def test_stuffle_rows_are_the_unrefined_kawashima_rows():
             assert fast.rank() == slow.rank()
         else:
             assert fast.modular_rank() == slow.modular_rank() == 200
+
+
+def test_stuffle_rows_hold_no_copy_of_the_product_memo():
+    # with the memo warm, a second stuffle_rows(10) allocates a few bytes per
+    # row entry: a copy of every memo dict costs about 41
+    stuffle_rows(10)
+    tracemalloc.start()
+    try:
+        rows = stuffle_rows(10)
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size <= 8 * sum(map(len, rows))
+
+
+def test_stuffle_rows_share_the_memo_and_nothing_changes_it():
+    rows = stuffle_rows(8)
+    assert all(row._terms is products._stuffle_keys(_key(mu), _key(nu))
+               for row, (mu, nu) in zip(rows, _pairs(8), strict=True))
+    # every memo entry of total weight <= 8, which holds all the rows read
+    memo = {(k, l): products._stuffle(k, l) for l in range(1 << 8) for k in range(l + 1)
+            if k.bit_length() + l.bit_length() <= 8}
+    snapshot = {pair: dict(d) for pair, d in memo.items()}
+    span = RelationMatrix(8, rows)
+    assert span.rank() >= span.modular_rank() > 0
+    for mu in all_indices(8):
+        # g = refine . signed is an involution, so g maps the Kawashima span to the rows' span
+        element = duality_relation(mu).element
+        span.member(element)
+        assert span.member(refine(signed(element))) is not None
+    for row in rows:
+        for op in (lambda x: x + x, lambda x: x - x, lambda x: 3 * x, lambda x: -x, signed,
+                   refine, coarsen, dual, reverse, lambda x: stuffle(x, idx(1)),
+                   lambda x: stuffle(idx(1, 2), x)):
+            op(row)
+    assert all(products._stuffle(*pair) is d for pair, d in memo.items())
+    assert {pair: dict(d) for pair, d in memo.items()} == snapshot
 
 
 def test_exact_ranks_at_weight_ten():

@@ -65,6 +65,24 @@ def test_no_orphan_code_in_package():
     ]
 
 
+def test_only_combination_stores_its_terms():
+    # a combination may wrap a dict that others hold too (stuffle_rows hands out
+    # the product memo's own), so only the class itself assigns its _terms
+    found, inside = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            stores = [node.lineno for node in ast.walk(top)
+                      if isinstance(node, ast.Attribute) and node.attr == "_terms"
+                      and isinstance(node.ctx, (ast.Store, ast.Del))
+                      or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "setattr"
+                      and any(getattr(a, "value", None) == "_terms" for a in node.args)]
+            if path.name == "indices.py" and getattr(top, "name", None) == "Combination":
+                inside += len(stores)
+            else:
+                found += ["%s:%d" % (path.name, line) for line in stores]
+    assert found == [] and inside > 0
+
+
 def test_benchmark_self_check():
     # the benchmark's tracer hooks functions by name; its self-check fails on a
     # hook that no longer fires or a command whose output changed

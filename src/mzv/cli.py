@@ -8,10 +8,10 @@ Exit status: 0 all good, 1 a verification failed, 2 usage or parse error.
 ``verify`` refuses up front a ``--grid`` above the hard cap 20, a ``--weight``
 or ``--pairs-up-to`` above its suite's limit, and in ``theorem310`` a cost
 ``2**weight * ((grid + 1)**2 + 28)`` above ``THEOREM310_COST``.  ``rank-table``
-refuses an exact rank above weight ``EXACT_WEIGHT_MAX``.  ``verify numeric``
-decides on the certified evaluator's proven bound alone; its ``--truncation``
-(at least 1000) is validated and not read, so that batch scripts that pass it
-keep working.
+refuses an exact rank above weight ``EXACT_WEIGHT_MAX`` and a highest weight
+estimated above ``RANK_TABLE_BYTES``.  ``verify numeric`` decides on the
+certified evaluator's proven bound alone; its ``--truncation`` (at least 1000)
+is validated and not read, so that batch scripts that pass it keep working.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ HARD_WEIGHT_CAP = 20
 DEFAULT_TRUNCATION = 10**6
 #: the highest weight ``rank-table`` ranks exactly: 21-23 s at 12, and 13 ran past 120 s
 EXACT_WEIGHT_MAX = 12
-#: the most stuffle-row entries ``rank-table`` builds for its highest weight
-MODULAR_ROW_ENTRIES = 2**24
+#: the most ``_rank_table_bytes`` ``rank-table`` admits: weight 16 took 21 s, 17 ran past 60 s
+RANK_TABLE_BYTES = 2**30
 #: the largest ``verify theorem310`` cost ``2**weight * ((grid + 1)**2 + 28)`` it takes on:
 #: every request of a weight x grid sweep that finished within 60 s, and none that ran past
 THEOREM310_COST = 10**6
@@ -189,11 +189,13 @@ def _delannoy(p: int, q: int) -> int:
     return sum(comb(p, i) * comb(q, i) * 2**i for i in range(min(p, q) + 1))
 
 
-def _stuffle_entries(k: int) -> int:
-    """An upper bound on the non-zero entries of ``stuffle_rows(k)``: ``D(p, q)``
-    per pair of indices of weights ``a <= k - a`` with ``p`` and ``q`` parts."""
-    return sum(comb(a - 1, p - 1) * comb(k - a - 1, q - 1) * _delannoy(p, q)
-               for a in range(1, k // 2 + 1) for p in range(1, a + 1) for q in range(1, k - a + 1))
+def _rank_table_bytes(k: int) -> tuple[int, int, int]:
+    """Estimated bytes of weight ``k``: Ohno rows (at most ``C(r+q-1, r)`` entries of
+    100 bytes per index of weight ``k-r`` with ``q`` parts), GF(2) pivots (``ncols**2``
+    bits) and product memo (``0.42 * 2.8**k`` entries of 75 bytes, fitted on k = 12..15)."""
+    ohno = sum(comb(k - r - 1, q - 1) * comb(r + q - 1, r)
+               for r in range(k - 1) for q in range(1, k - r + 1))
+    return 100 * ohno, 4 ** (k - 1) // 8, int(31.5 * 2.8**k)
 
 
 def _rank(k: int, rows, exact: bool) -> int:
@@ -207,13 +209,12 @@ def cmd_rank_table(args) -> int:
     if not 2 <= args.k_min <= args.k_max <= HARD_WEIGHT_CAP:
         print("mzv: need 2 <= k-min <= k-max <= %d" % HARD_WEIGHT_CAP, file=sys.stderr)
         return 2
-    # both modes build the stuffle rows, about 120 bytes per entry (GF(2) pivots: ncols**2 bits)
-    entries = _stuffle_entries(args.k_max)
-    if entries > MODULAR_ROW_ENTRIES:
-        mode = "modular" if args.k_max > args.exact_up_to else "exact"
-        raise ValueError("rank-table: the %s rank at weight %d builds up to %d "
-                         "stuffle-row entries, above the limit %d"
-                         % (mode, args.k_max, entries, MODULAR_ROW_ENTRIES))
+    # the highest weight builds the most: Ohno rows, GF(2) pivots and product memo
+    parts = _rank_table_bytes(args.k_max)
+    if sum(parts) > RANK_TABLE_BYTES:
+        raise ValueError("rank-table: weight %d builds an estimated %d bytes (Ohno rows %d,"
+                         " GF(2) pivots %d, product memo %d), above the limit %d"
+                         % (args.k_max, sum(parts), *parts, RANK_TABLE_BYTES))
     top = min(args.k_max, args.exact_up_to)
     if args.k_min <= top and top > EXACT_WEIGHT_MAX:
         raise ValueError("rank-table: an exact rank at weight %d is above the limit %d"
@@ -223,10 +224,11 @@ def cmd_rank_table(args) -> int:
         exact = k <= args.exact_up_to
         # the Ohno rows first, while the stuffle memo holds no weight-k products;
         # g = refine . signed is a bijection, so the raw stuffle rows have the
-        # rank of the Kawashima rows
+        # rank of the Kawashima rows, bounded below over Q by the Lyndon-triangular rows
         ohno_rank = _rank(k, (r.element for r in ohno_relations(k)), exact)
+        rank = _rank(k, stuffle_rows(k), True) if exact else lyndon.triangular_rank(k)
         rows.append({"k": k, "zagier": lyndon.zagier_dim(k), "formula": lyndon.dimension_formula(k),
-                     "rank": _rank(k, stuffle_rows(k), exact), "ohno_rank": ohno_rank,
+                     "rank": rank, "ohno_rank": ohno_rank,
                      "mode": "exact" if exact else "modular-lower-bound"})
     header = "%3s %8s %8s %8s %10s  %s" % ("k", "d_Z", "formula", "rank", "ohno-rank", "mode")
     lines = [header] + [

@@ -5,14 +5,18 @@ An index is Lyndon when it strictly precedes each of its proper right
 factors.  Weight-``m`` indices are in bijection with binary necklace cuttings,
 so for ``m >= 2`` the number of weight-``m`` Lyndon indices equals the number
 of binary Lyndon words of length ``m``; Moebius inversion of
-``2**n = sum(d * count(d) for d | n)`` computes it.
+``2**n = sum(d * count(d) for d | n)`` computes it.  Every index is the
+concatenation of its non-increasing Lyndon factors ``l1.l2...ln`` (Duval, J.
+Algorithms 4 (1983)); for ``n > 1``, ``stuffle(l1, l2...ln)`` has the index
+as its largest term, longest first and then by parts (Hoffman, 2000).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .indices import MultiIndex, all_indices, as_index
+from .indices import MultiIndex, _key, all_indices, as_index, format_index
+from .products import _stuffle_keys
 
 
 def moebius(n: int) -> int:
@@ -62,6 +66,37 @@ def is_lyndon(mu) -> bool:
         return False
     t = tuple(mu)
     return all(t < t[i:] for i in range(1, len(t)))
+
+
+def lyndon_factors(mu) -> list[MultiIndex]:
+    """The Lyndon factors of ``mu``, non-increasing, whose concatenation is ``mu`` (Duval)."""
+    t, factors, i = as_index(mu), [], 0
+    while i < len(t):
+        j, k = i + 1, i
+        while j < len(t) and t[k] <= t[j]:
+            k, j = k + 1 if t[k] == t[j] else i, j + 1
+        while i <= k:
+            factors.append(MultiIndex(t[i:i + j - k]))
+            i += j - k
+    return factors
+
+
+def triangular_rank(k: int) -> int:
+    """The number of non-Lyndon weight-``k`` indices, each checked to lead its stuffle
+    row (or this raises): a lower bound over Q for the stuffle rows' rank, no elimination."""
+    count = 0
+    for mu in all_indices(k):
+        cut, w = lyndon_factors(mu)[0].weight, _key(mu)
+        if cut == k:  # mu is Lyndon
+            continue
+        row, n = _stuffle_keys(w & (1 << cut) - 1, w >> cut), w.bit_count()
+        # a same-length term precedes w by parts when it holds their lowest differing mark
+        if row.get(w, 0) <= 0 or any(t.bit_count() > n or t.bit_count() == n and t != w
+                                     and not t & (t ^ w) & -(t ^ w) for t in row):
+            raise ArithmeticError("the stuffle row of the Lyndon factors of %s does not"
+                                  " lead with it" % format_index(mu))
+        count += 1
+    return count
 
 
 def enumerate_lyndon(m: int) -> list[MultiIndex]:

@@ -8,9 +8,9 @@ space, hence a linear bijection, the raw products :func:`stuffle_rows` span
 a space of the same dimension; ``mzv rank-table`` ranks those sparser rows.
 
 Reversal--dual differences (:func:`duality_relation`) and their images under
-the shift operators (:func:`ohno_relations`) land inside the span of
-:func:`kawashima_basis`; the membership certificates produced in the tests
-make that containment concrete.
+the shift operators (:func:`ohno_relations`, one per sign pair) land inside
+the span of :func:`kawashima_basis`; the membership certificates produced in
+the tests make that containment concrete.
 
 Quadratic counterparts pair two raised evaluations against one: see
 :func:`quadratic_relation`, whose terms come from fusing with all-ones tails,
@@ -27,6 +27,7 @@ from .indices import (
     Combination,
     MultiIndex,
     _key,
+    _mirror,
     all_indices,
     as_combination,
     as_index,
@@ -170,12 +171,13 @@ def verify_reversal_telescope(mu) -> bool:
 
 
 def ohno_relations(weight: int, r_max: int | None = None) -> list[LinearRelation]:
-    """Shifted reversal--dual differences of total ``weight``.
+    """Shifted reversal--dual differences of total ``weight``, one per sign pair.
 
     For each shift ``r`` and each index ``mu`` of weight ``weight - r``, the
     element is the shift of :func:`duality_element`; zero elements are
-    dropped.  ``r_max`` defaults to ``weight - 2`` (beyond that the base
-    index has weight < 2 and everything vanishes).
+    dropped, and so is ``mu`` when ``tau(mu)`` has the smaller key: the shift
+    is linear and ``D(tau(mu)) = -D(mu)``.  ``r_max`` defaults to ``weight - 2``
+    (beyond that the base index has weight < 2 and everything vanishes).
     """
     if weight < 2:
         raise ValueError("weight must be >= 2")
@@ -184,6 +186,11 @@ def ohno_relations(weight: int, r_max: int | None = None) -> list[LinearRelation
     out = []
     for r in range(0, min(r_max, weight - 2) + 1):
         for mu in all_indices(weight - r):
+            k = _key(mu)
+            top = 1 << k.bit_length() - 1
+            # tau on keys: mirror the marks below the top bit, then complement them
+            if top | _mirror(k ^ top, k.bit_length() - 1) ^ top - 1 < k:
+                continue
             element = ohno_u(r, duality_element(mu))
             if element.is_zero():
                 continue

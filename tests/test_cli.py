@@ -10,7 +10,7 @@ import pytest
 from mzv import cli, products
 from mzv.harmonic import seq_s2
 from mzv.indices import Combination, all_indices
-from mzv.relations import stuffle_rows
+from mzv.relations import ohno_relations
 
 
 def run(argv, capsys):
@@ -439,24 +439,23 @@ def _run_with_timeout(argv, timeout=10):
     )
 
 
-@pytest.mark.parametrize("k_min", ["15", "2"])
-def test_rank_table_refuses_a_modular_matrix_above_the_memory_limit_up_front(k_min):
+@pytest.mark.parametrize("k_min", ["17", "2"])
+def test_rank_table_refuses_weight_17_up_front_with_its_estimate(k_min):
     # from --k-min 2 the refusal must come before any weight is ranked
-    proc = _run_with_timeout(["rank-table", "--k-min", k_min, "--k-max", "15"])
+    proc = _run_with_timeout(["rank-table", "--k-min", k_min, "--k-max", "17"])
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == (
-        "mzv: rank-table: the modular rank at weight 15 builds up to 30116864 stuffle-row "
-        "entries, above the limit 16777216\n")
+        "mzv: rank-table: weight 17 builds an estimated 2366076478 bytes (Ohno rows 570288600,"
+        " GF(2) pivots 536870912, product memo 1258916966), above the limit 1073741824\n")
 
 
-def test_rank_table_refuses_the_exact_path_above_the_entry_limit_up_front():
-    # the exact echelon builds the same stuffle rows, and more
+def test_rank_table_still_refuses_an_exact_rank_at_weight_15_up_front():
+    # the byte estimate admits weight 15; the exact limit still refuses it
     proc = _run_with_timeout(["rank-table", "--k-min", "15", "--k-max", "15",
                               "--exact-up-to", "15"])
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == (
-        "mzv: rank-table: the exact rank at weight 15 builds up to 30116864 stuffle-row "
-        "entries, above the limit 16777216\n")
+    assert proc.stderr == ("mzv: rank-table: an exact rank at weight 15 is above the limit 12"
+                           " (lower --exact-up-to)\n")
 
 
 def test_rank_table_weight_12_headline_row():
@@ -467,11 +466,12 @@ def test_rank_table_weight_12_headline_row():
         "12", "2032", "1713", "1713", "1691", "modular-lower-bound"]
 
 
-def test_the_modular_entry_limit_admits_weight_14_and_bounds_the_entries():
-    for k in range(2, 12):
-        assert sum(map(len, stuffle_rows(k))) <= cli._stuffle_entries(k)
-    assert cli._stuffle_entries(14) == 10374080
-    assert cli._stuffle_entries(14) <= cli.MODULAR_ROW_ENTRIES < cli._stuffle_entries(15)
+def test_the_byte_estimate_bounds_the_ohno_rows_and_admits_weight_16_only():
+    for k in range(2, 13):
+        ohno, pivots, _ = cli._rank_table_bytes(k)
+        assert 100 * sum(len(rel.element) for rel in ohno_relations(k)) <= ohno
+        assert pivots == 4 ** (k - 1) // 8  # ncols**2 bits
+    assert sum(cli._rank_table_bytes(16)) <= cli.RANK_TABLE_BYTES < sum(cli._rank_table_bytes(17))
 
 
 def test_cheap_applications_of_long_indices_still_run(capsys):
@@ -605,19 +605,29 @@ def test_rank_table_refuses_an_exact_rank_above_weight_12_up_front(argv, weight)
                            " (lower --exact-up-to)\n" % weight)
 
 
+class Admitted(Exception):
+    pass
+
+
+def _admitted(k, r_max=None):
+    # the Ohno rows are the first work at every weight
+    raise Admitted
+
+
 @pytest.mark.parametrize("argv", [
     ["--k-min", "12", "--k-max", "12", "--exact-up-to", "12"],
     ["--k-min", "13", "--k-max", "13", "--exact-up-to", "12"],
     # no weight in the range is ranked exactly
     ["--k-min", "14", "--k-max", "14", "--exact-up-to", "13"],
 ])
-def test_rank_table_admits_exact_ranks_through_weight_12(argv, capsys, monkeypatch):
-    class Admitted(Exception):
-        pass
-
-    def admitted(k):
-        raise Admitted
-
-    monkeypatch.setattr(cli, "stuffle_rows", admitted)
+def test_rank_table_admits_exact_ranks_through_weight_12(argv, monkeypatch):
+    monkeypatch.setattr(cli, "ohno_relations", _admitted)
     with pytest.raises(Admitted):
         cli.main(["rank-table", *argv])
+
+
+def test_rank_table_admits_weight_16(monkeypatch):
+    # weight 16 alone took 24 s and 457 MB; only the guard runs here
+    monkeypatch.setattr(cli, "ohno_relations", _admitted)
+    with pytest.raises(Admitted):
+        cli.main(["rank-table", "--k-min", "16", "--k-max", "16"])

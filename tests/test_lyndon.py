@@ -1,14 +1,25 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from mzv import lyndon
+from mzv.indices import _index, _key, all_indices
 from mzv.lyndon import (
     binary_lyndon_count,
     dimension_formula,
     enumerate_lyndon,
     is_lyndon,
+    lyndon_factors,
     moebius,
     psi2,
+    triangular_rank,
     zagier_dim,
 )
+from mzv.products import _stuffle_keys
+from mzv.qlinalg import RelationMatrix
+from mzv.relations import stuffle_rows
 
 
 def test_moebius_values():
@@ -102,3 +113,74 @@ def test_dimension_formula_complements_lyndon_count():
         assert dimension_formula(k) == 2 ** (k - 1) - psi2(k)
         # this relation count never exceeds the conjectured one
         assert dimension_formula(k) <= zagier_dim(k)
+
+
+def test_lyndon_factors_are_non_increasing_lyndon_words_that_rebuild_the_index():
+    assert lyndon_factors((1, 2, 1, 2)) == [(1, 2), (1, 2)]
+    assert lyndon_factors((2, 1, 2)) == [(2,), (1, 2)]
+    assert lyndon_factors(()) == []
+    for k in range(1, 11):
+        for mu in all_indices(k):
+            factors = lyndon_factors(mu)
+            assert all(map(is_lyndon, factors)), mu
+            assert all(a >= b for a, b in zip(factors, factors[1:])), mu
+            assert sum(factors, ()) == mu
+            assert (len(factors) == 1) == is_lyndon(mu)
+
+
+def test_triangular_rank_is_the_modular_rank_of_the_stuffle_rows():
+    # the GF(2) elimination it replaced, kept as the oracle
+    for k in range(2, 13):
+        assert triangular_rank(k) == RelationMatrix(k, stuffle_rows(k)).modular_rank(), k
+
+
+def test_triangular_rows_lead_with_their_index():
+    # the bit test in triangular_rank against the largest decoded term by length, then parts
+    for k in range(2, 11):
+        for mu in all_indices(k):
+            head, *rest = lyndon_factors(mu)
+            if rest:
+                row = _stuffle_keys(_key(head), _key(sum(rest, ())))
+                assert max(map(_index, row), key=lambda nu: (len(nu), nu)) == mu, mu
+                assert row[_key(mu)] > 0, mu
+
+
+def test_triangular_rank_reaches_the_dimension_formula():
+    for k in range(2, 15):
+        assert triangular_rank(k) == dimension_formula(k), k
+
+
+# rows of stuffle((2), (1,2)), whose leading term must be (2,1,2), planted wrong
+PLANTED = {
+    "dropped": "row.pop(w)",
+    "negated": "row[w] = -row[w]",
+    "longer": "row[_key((1, 1, 1, 1, 1))] = 1",
+    "larger by parts": "row[_key((2, 2, 1))] = 1",
+}
+PLANT = """if True:
+    from mzv import lyndon
+    from mzv.indices import _key
+    real = lyndon._stuffle_keys
+
+    def planted(a, b):
+        row, w = dict(real(a, b)), _key((2, 1, 2))
+        if (a, b) == (_key((2,)), _key((1, 2))):
+            %s
+        return row
+
+    lyndon._stuffle_keys = planted
+    try:
+        lyndon.triangular_rank(5)
+    except ArithmeticError as exc:
+        print(exc)
+"""
+
+
+@pytest.mark.parametrize("plant", sorted(PLANTED))
+def test_a_planted_wrong_leading_term_raises_also_under_python_O(plant):
+    message = "the stuffle row of the Lyndon factors of (2,1,2) does not lead with it\n"
+    src = Path(lyndon.__file__).resolve().parents[1]
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-c", PLANT % PLANTED[plant]], cwd=src,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, message, ""), flags

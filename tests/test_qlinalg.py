@@ -8,9 +8,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mzv.indices import Combination, _accumulate, all_indices, idx, parse_combination
+from mzv.indices import (
+    Combination,
+    _accumulate,
+    all_indices,
+    format_index,
+    idx,
+    parse_combination,
+)
+from mzv.ohno import ohno_u
 from mzv.qlinalg import RelationMatrix
 from mzv.relations import (
+    LinearRelation,
     duality_element,
     duality_relation,
     kawashima_basis,
@@ -236,11 +245,17 @@ def test_certificates_match_the_recorded_ones():
     # golden/certificates.json holds the non-zero member() coefficients, as
     # strings, of every duality and Ohno (r <= 3) element against the
     # Kawashima rows of weight 2..6, recorded before the echelon was changed
+    # and while ohno_relations still listed both elements of each sign pair
     recorded = json.loads((Path(__file__).parent / "golden" / "certificates.json").read_text())
     got = []
     for k in range(2, 7):
         m = RelationMatrix.from_relations(kawashima_basis(k))
-        targets = [duality_relation(mu) for mu in all_indices(k)] + ohno_relations(k, r_max=3)
+        targets = [duality_relation(mu) for mu in all_indices(k)] + [
+            LinearRelation(ohno_u(r, duality_element(mu)), "ohno(%s,%d)" % (format_index(mu), r), k)
+            for r in range(min(3, k - 2) + 1) for mu in all_indices(k - r)
+            if not ohno_u(r, duality_element(mu)).is_zero()]
+        assert {rel.provenance for rel in ohno_relations(k, r_max=3)} < {
+            rel.provenance for rel in targets}
         for rel in targets:
             cert = m.member(rel.element)
             assert all(type(c) is Fraction for c in cert), rel.provenance

@@ -177,8 +177,9 @@ def test_duality_is_in_the_kawashima_span_small():
 
 
 def test_ohno_relations_enumeration():
+    # (1,1,1) = tau((3)) gives the negative of ohno((3),0); (1,2) and (2,1) are fixed by tau
     rels = ohno_relations(3, 0)
-    assert [r.provenance for r in rels] == ["ohno((1,1,1),0)", "ohno((3),0)"]
+    assert [r.provenance for r in rels] == ["ohno((3),0)"]
     rels4 = ohno_relations(4, 2)
     assert all(r.weight == 4 for r in rels4)
     assert all(not r.element.is_zero() for r in rels4)
@@ -187,6 +188,33 @@ def test_ohno_relations_enumeration():
     assert len(ohno_relations(4)) == len(ohno_relations(4, 99))
     with pytest.raises(ValueError):
         ohno_relations(1)
+
+
+def _every_ohno_element(k):
+    # the enumeration with both members of each sign pair: every shift of every index
+    return [(ohno_u(r, duality_element(mu)), "ohno((%s),%d)" % (",".join(map(str, mu)), r))
+            for r in range(k - 1) for mu in all_indices(k - r)]
+
+
+def test_ohno_relations_keep_one_element_of_each_sign_pair():
+    for k in range(2, 10):
+        kept = {rel.provenance: rel.element for rel in ohno_relations(k)}
+        elements = set(kept.values())
+        every = [(x, tag) for x, tag in _every_ohno_element(k) if not x.is_zero()]
+        for x, tag in every:
+            assert tag in kept and kept[tag] == x or -x in elements, tag
+        # tau pairs off the non-zero elements, and no two kept ones are equal up to sign
+        assert 2 * len(kept) == len(every) and all(-x not in elements for x in elements), k
+
+
+def test_one_element_per_sign_pair_keeps_both_ranks():
+    for k in range(2, 13):
+        kept = RelationMatrix.from_relations(ohno_relations(k))
+        every = RelationMatrix(k, [x for x, _ in _every_ohno_element(k)])
+        assert kept.nrows < every.nrows
+        assert kept.modular_rank() == every.modular_rank(), k
+        if k <= 9:
+            assert kept.rank() == every.rank(), k
 
 
 def test_ohno_relations_match_operator_application():

@@ -14,8 +14,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "mzv"
 def test_no_assert_statements_in_package():
     # `python -O` strips assert statements, so invariant checks must raise
     found = [
-        "%s:%d" % (path.name, node.lineno)
-        for path in sorted(SRC.glob("*.py"))
+        "%s:%d" % (path.relative_to(SRC), node.lineno)
+        for path in sorted(SRC.rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Assert)
     ]

@@ -7,7 +7,7 @@ Exit status: 0 all good, 1 a verification failed, 2 usage or parse error.
 
 ``verify`` refuses up front a ``--grid`` above the hard cap 20, a ``--weight``
 or ``--pairs-up-to`` above its suite's limit, and in ``theorem310`` a cost
-``2**weight * ((grid + 1)**2 + 28)`` above ``THEOREM310_COST``.  ``rank-table``
+``2**weight * ((grid + 1)**2 * (grid + 8) + 700)`` above ``THEOREM310_COST``.  ``rank-table``
 refuses an exact rank above weight ``EXACT_WEIGHT_MAX`` and a highest weight
 estimated above ``RANK_TABLE_BYTES``.  ``verify numeric`` decides on the
 certified evaluator's proven bound alone; its ``--truncation`` (at least 1000)
@@ -62,9 +62,10 @@ DEFAULT_TRUNCATION = 10**6
 EXACT_WEIGHT_MAX = 12
 #: the most ``_rank_table_bytes`` ``rank-table`` admits: weight 16 took 21 s, 17 ran past 60 s
 RANK_TABLE_BYTES = 2**30
-#: the largest ``verify theorem310`` cost ``2**weight * ((grid + 1)**2 + 28)`` it takes on:
-#: every request of a weight x grid sweep that finished within 60 s, and none that ran past
-THEOREM310_COST = 10**6
+#: the largest ``verify theorem310`` cost ``2**weight * ((grid + 1)**2 * (grid + 8) + 700)``
+#: it takes on: every request of a weight x grid sweep that finished within 60 s, and none
+#: that ran past
+THEOREM310_COST = 10**8
 
 OPS = {
     "tau": reverse,
@@ -280,12 +281,12 @@ def _suite_identities(args) -> list[dict]:
 def _suite_theorem310(args) -> list[dict]:
     cap = args.weight
     grid = args.grid
-    # per index, the (grid+1)**2 difference table and grid-free work timed at about 28 cells
-    cost = 2**cap * ((grid + 1) ** 2 + 28)
+    # per index, (grid+1)**2 cells whose integers grow with the grid, and grid-free work
+    cost = 2**cap * ((grid + 1) ** 2 * (grid + 8) + 700)
     if cost > THEOREM310_COST:
-        raise ValueError("verify theorem310: --weight %d with --grid %d costs 2**%d * (%d**2 + 28)"
-                         " = %d, above the limit %d"
-                         % (cap, grid, cap, grid + 1, cost, THEOREM310_COST))
+        raise ValueError("verify theorem310: --weight %d with --grid %d costs"
+                         " 2**%d * (%d**2 * %d + 700) = %d, above the limit %d"
+                         % (cap, grid, cap, grid + 1, grid + 8, cost, THEOREM310_COST))
     checks = []
     ok = True
     for w in range(1, cap + 1):

@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .indices import (MultiIndex, _index, _key, _mirror, as_combination, coarsen, format_index,
                       raise_last)
@@ -38,18 +38,20 @@ from .indices import (MultiIndex, _index, _key, _mirror, as_combination, coarsen
 CERTIFIED_BITS = 120
 
 
-@dataclass(frozen=True)
-class MzvEstimate:
+class MzvEstimate(NamedTuple):
     """A value, its proven error after ``truncation`` series terms, and the exact
     ``(value, bound)`` in ``exact``."""
 
     value: float
     err: float
     truncation: int
-    exact: tuple = field(repr=False)
+    exact: tuple
 
     def __float__(self) -> float:
         return self.value
+
+    def __repr__(self) -> str:
+        return "MzvEstimate(value=%r, err=%r, truncation=%r)" % self[:3]
 
 
 #: Chain positions per block of the dynamic program.

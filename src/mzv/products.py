@@ -11,7 +11,8 @@ clears the top bit, and appending the part that makes weight ``w`` sets bit
 ``_stuffle``'s own dicts as rows, so nothing may change a memoised dict.  The
 slow oracle is Hoffman's definition: :func:`enumerate_stuffle` lists the
 two-row matrices as tuples of ``(top, bottom)`` columns, and the
-``*_via_matrices`` sums read their column sums.
+``*_via_matrices`` sums walk the same matrices column by column on mark keys,
+one term per matrix, without the memo.
 
 ``stuffle_bar`` is not a second product but the length-sign twist of the
 first: ``stuffle_bar(x, y) = signed(stuffle(signed(x), signed(y)))``, so every
@@ -31,8 +32,9 @@ hence their role next to the full products of the running sums.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 
-from .indices import Combination, _accumulate, _bilinear, _key, as_index
+from .indices import Combination, _accumulate, _bilinear, as_index
 
 
 def enumerate_stuffle(mu, nu) -> list[tuple[tuple[int, int], ...]]:
@@ -60,22 +62,42 @@ def enumerate_stuffle(mu, nu) -> list[tuple[tuple[int, int], ...]]:
     return rec(len(mu), len(nu))
 
 
-def _matrix_sum(mu, nu, sign) -> Combination:
-    """The sum over the matrices of ``sign(width)`` at the key of the column sums."""
-    return Combination._of(_accumulate({}, ((_key(a + b for a, b in cols), sign(len(cols)))
-                                            for cols in enumerate_stuffle(mu, nu))))
+def _matrix_sum(mu, nu, merged: int) -> Combination:
+    """The sum over the matrices of ``merged**(merged columns)`` at the key of the
+    column sums.
+
+    Each matrix is walked column by column: the column that ends having used
+    ``mu[:i]`` and ``nu[:j]`` sets the bit of the partial sum ``|mu[:i]| + |nu[:j]|``.
+    A key fixes the number of columns, hence of merged ones, so no term cancels.
+    """
+    mu, nu = as_index(mu), as_index(nu)
+    p, q = len(mu), len(nu)
+    bit = [[1 << a + b >> 1 for b in accumulate(nu, initial=0)] for a in accumulate(mu, initial=0)]
+    out = {}
+
+    def walk(i, j, key, c):
+        if i < p:
+            walk(i + 1, j, key | bit[i + 1][j], c)
+        if j < q:
+            walk(i, j + 1, key | bit[i][j + 1], c)
+            if i < p:
+                walk(i + 1, j + 1, key | bit[i + 1][j + 1], c * merged)
+        elif i == p:
+            out[key] = out.get(key, 0) + c
+
+    walk(0, 0, 0, 1)
+    return Combination._of(out)
 
 
 def stuffle_via_matrices(mu, nu) -> Combination:
     """Reference implementation of :func:`stuffle` on two bare indices."""
-    return _matrix_sum(mu, nu, lambda width: 1)
+    return _matrix_sum(mu, nu, 1)
 
 
 def stuffle_bar_via_matrices(mu, nu) -> Combination:
-    """Reference implementation of :func:`stuffle_bar` on two bare indices: a
-    matrix of width w has ``len(mu) + len(nu) - w`` merged columns, each a sign."""
-    total = len(mu) + len(nu)
-    return _matrix_sum(mu, nu, lambda width: (-1) ** (total - width))
+    """Reference implementation of :func:`stuffle_bar` on two bare indices: each
+    merged column is a sign."""
+    return _matrix_sum(mu, nu, -1)
 
 
 @lru_cache(maxsize=None)

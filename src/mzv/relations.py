@@ -20,12 +20,12 @@ expansion coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .indices import (
     Combination,
-    MultiIndex,
+    _accumulate,
     _key,
     _mirror,
     all_indices,
@@ -52,8 +52,7 @@ def terms_json(x) -> list[dict]:
     ]
 
 
-@dataclass(frozen=True)
-class LinearRelation:
+class LinearRelation(NamedTuple):
     """A combination annihilated by the raised zeta functional."""
 
     element: Combination
@@ -64,8 +63,7 @@ class LinearRelation:
         return "%s: %s" % (self.provenance, format_combination(self.element))
 
 
-@dataclass(frozen=True)
-class QuadraticRelation:
+class QuadraticRelation(NamedTuple):
     """sum of zeta(left)*zeta(right) over ``factors`` equals zeta(rhs).
 
     All three combination slots hold arguments for the plain (un-raised)
@@ -157,17 +155,17 @@ def verify_reversal_telescope(mu) -> bool:
 
     Splitting ``mu`` after position h, reversing the head, multiplying by
     the coarsening sum of the tail and alternating signs telescopes to zero.
+    The products add up on mark keys in one dict.
     """
     mu = as_index(mu)
     if not mu:
         raise ValueError("the index must be non-empty")
-    total = Combination.zero()
+    total = {}
     for h in range(len(mu) + 1):
-        head = MultiIndex(mu[:h])
-        tail = MultiIndex(mu[h:])
-        piece = stuffle(Combination.term(reverse(head)), coarsen(tail))
-        total = total + (-1) ** h * piece
-    return total.is_zero()
+        head = _key(reversed(mu[:h]))
+        for tail, c in coarsen(mu[h:])._terms.items():
+            _accumulate(total, _stuffle_keys(head, tail).items(), -c if h & 1 else c)
+    return not total
 
 
 def ohno_relations(weight: int, r_max: int | None = None) -> list[LinearRelation]:

@@ -304,27 +304,35 @@ def test_grid_at_the_hard_cap_still_runs(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--weight", "12", "--grid", "20"],
-     "--weight 12 with --grid 20 costs 2**12 * (21**2 + 28) = 1921024, above the limit 1000000"),
+    (["--weight", "18", "--grid", "0"],
+     "--weight 18 with --grid 0 costs 2**18 * (1**2 * 8 + 700) = 185597952, above the limit"
+     " 100000000"),
+    (["--weight", "17", "--grid", "3"],
+     "--weight 17 with --grid 3 costs 2**17 * (4**2 * 11 + 700) = 114819072, above the limit"
+     " 100000000"),
+    (["--weight", "14", "--grid", "16"],
+     "--weight 14 with --grid 16 costs 2**14 * (17**2 * 24 + 700) = 125108224, above the limit"
+     " 100000000"),
+    (["--weight", "16", "--grid", "8"],
+     "--weight 16 with --grid 8 costs 2**16 * (9**2 * 16 + 700) = 130809856, above the limit"
+     " 100000000"),
     (["--weight", "20"],
-     "--weight 20 with --grid 6 costs 2**20 * (7**2 + 28) = 80740352, above the limit 1000000"),
-    (["--weight", "16", "--grid", "0"],
-     "--weight 16 with --grid 0 costs 2**16 * (1**2 + 28) = 1900544, above the limit 1000000"),
-    (["--weight", "14", "--grid", "6"],
-     "--weight 14 with --grid 6 costs 2**14 * (7**2 + 28) = 1261568, above the limit 1000000"),
+     "--weight 20 with --grid 6 costs 2**20 * (7**2 * 14 + 700) = 1453326336, above the limit"
+     " 100000000"),
 ])
 def test_theorem310_refuses_a_weight_and_grid_it_cannot_finish_up_front(argv, message):
-    # each of these ran past 60 s before the guard
+    # each of these ran past 65 s before the guard (--weight 20: --weight 17 --grid 5 did)
     proc = _run_with_timeout(["verify", "theorem310", *argv])
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "mzv: verify theorem310: " + message + "\n"
 
 
-@pytest.mark.parametrize("weight, grid", [(15, 0), (14, 4), (13, 8), (12, 12), (11, 20)])
+@pytest.mark.parametrize("weight, grid", [(15, 0), (14, 4), (13, 8), (12, 12), (11, 20),
+                                          (17, 1), (16, 6), (15, 10), (14, 14), (13, 18)])
 def test_theorem310_admits_a_weight_and_grid_it_finished_within_a_minute(weight, grid, capsys,
                                                                          monkeypatch):
-    # each of these finished within 60 s with the guard lifted; only the guard
-    # runs here, on no indices
+    # each of these finished within 60 s with the guard lifted, the last five as medians
+    # of three nearest the limit; only the guard runs here, on no indices
     monkeypatch.setattr(cli, "all_indices", lambda w: [])
     code, out, _ = run(["verify", "theorem310", "--weight", str(weight), "--grid", str(grid)],
                        capsys)

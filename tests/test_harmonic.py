@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from operator import sub
 
 import pytest
 
@@ -13,7 +14,8 @@ from mzv.harmonic import (
     seq_s,
     seq_s2,
 )
-from mzv.indices import PHI, Combination, all_indices, coarsen, coarsen_inv, dual, idx
+from mzv.indices import (PHI, Combination, all_indices, as_combination, coarsen, coarsen_inv, dual,
+                         idx)
 from mzv.products import circ, circ_bar, stuffle, stuffle_bar
 
 
@@ -365,3 +367,143 @@ def test_two_parameter_table_matches_the_per_call_dp():
     assert seq_s2(idx(3), idx(1, 2), 11, 3)[11][3] == _oracle_seq_s2(idx(3), idx(1, 2), 11, 3)
     with pytest.raises(ValueError):
         seq_s2(idx(2), idx(1, 1), 1, -1)
+
+
+# ---------------------------------------------------------------------------
+# the Fraction kernels that the integer ones replaced, kept as oracles
+
+
+class _FractionSequence:
+    """``RationalSequence`` as it was: one ``Fraction`` per value."""
+
+    def __init__(self, values):
+        self.values = tuple(Fraction(v) for v in values)
+
+    def __eq__(self, other):
+        return self.values == other.values
+
+    def _rows(self):
+        row = self.values
+        while row:
+            yield row
+            row = tuple(map(sub, row, row[1:]))
+
+    def delta(self, k=1):
+        return _FractionSequence(next(itertools.islice(self._rows(), k, None)))
+
+    def nabla(self):
+        return _FractionSequence(row[0] for row in self._rows())
+
+
+def _fraction_chain_values(mu, horizon, strict):
+    if not mu:
+        return (Fraction(1),) * (horizon + 1)
+    level = [Fraction(1, (i + 1) ** mu[0]) for i in range(horizon + 1)]
+    for part in mu[1:]:
+        sums = (itertools.accumulate(level[:-1], initial=Fraction(0)) if strict
+                else itertools.accumulate(level))
+        level = [acc / (i + 1) ** part for i, acc in enumerate(sums)]
+    return tuple(level)
+
+
+def _fraction_chain_sequence(x, horizon, strict, running):
+    totals = [Fraction(0)] * (horizon + 1)
+    for mu, c in as_combination(x).terms():
+        vals = _fraction_chain_values(mu, horizon, strict)
+        if running and mu:
+            vals = tuple(itertools.accumulate(vals[:-1], initial=Fraction(0)))
+        for i in range(horizon + 1):
+            totals[i] += c * vals[i]
+    return totals
+
+
+def _fraction_seq_s2(mu, nu, n, k):
+    left = [i for i, part in enumerate(mu) for _ in range(part)]
+    right = [j for j, part in enumerate(nu) for _ in range(part)]
+    grid = [[Fraction(1, a + b + 1) for b in range(k + 1)] for a in range(n + 1)]
+    for t in range(1, sum(mu)):
+        if left[t] != left[t - 1]:
+            for b in range(k + 1):
+                acc = Fraction(0)
+                for a in range(n + 1):
+                    acc += grid[a][b]
+                    grid[a][b] = acc
+        if right[t] != right[t - 1]:
+            for a in range(n + 1):
+                acc = Fraction(0)
+                row = grid[a]
+                for b in range(k + 1):
+                    acc += row[b]
+                    row[b] = acc
+        for a in range(n + 1):
+            row = grid[a]
+            for b in range(k + 1):
+                row[b] /= a + b + 1
+    return tuple(tuple(v / math.comb(a + b, a) for b, v in enumerate(row))
+                 for a, row in enumerate(grid))
+
+
+_KINDS = [(seq_s, False, False), (seq_a, True, False), (seq_S, False, True), (seq_A, True, True)]
+
+
+def test_integer_chain_sums_match_the_fraction_kernel():
+    for w in range(7):
+        for mu in all_indices(w):
+            for fn, strict, running in _KINDS:
+                want = _fraction_chain_sequence(mu, 9, strict, running)
+                got = fn(mu, 9)
+                assert got.values == tuple(want) and [got[n] for n in range(10)] == want
+                assert all(type(v) is Fraction for v in got.values), (fn.__name__, mu)
+
+
+def test_integer_chain_sums_of_combinations_match_the_fraction_kernel():
+    # Fraction coefficients, mixed weights, phi, a zero combination and horizon 0
+    combos = [
+        Combination([((1, 2), Fraction(3, 4)), ((2,), Fraction(-5, 6)), ((), 7)]),
+        Combination([((3, 1, 1), Fraction(1, 9)), ((1,), -2), ((2, 2), Fraction(4, 15))]),
+        Combination([((), Fraction(1, 2))]),
+        Combination(),
+        Combination([((1, 1), 1), ((1, 1, 2), -1), ((4,), Fraction(22, 7))]),
+    ]
+    for x in combos:
+        for horizon in (0, 1, 6, 11):
+            for fn, strict, running in _KINDS:
+                want = _fraction_chain_sequence(x, horizon, strict, running)
+                got = fn(x, horizon)
+                assert got.values == tuple(want), (fn.__name__, x, horizon)
+                assert got == RationalSequence(want) and hash(got) == hash(RationalSequence(want))
+
+
+def test_delta_nabla_and_equality_match_the_fraction_kernel():
+    rng = random.Random(2007)
+    for length in range(1, 14):
+        for _ in range(6):
+            values = [Fraction(rng.randint(-99, 99), rng.randint(1, 40)) for _ in range(length)]
+            a, oracle = RationalSequence(values), _FractionSequence(values)
+            assert a.values == oracle.values
+            assert a.nabla().values == oracle.nabla().values
+            for k in range(length):
+                assert a.delta(k).values == oracle.delta(k).values
+            # equal values over different denominators, and unequal ones
+            scaled = RationalSequence._of(tuple(3 * v for v in a._nums), 3 * a._den)
+            assert a == scaled == a.nabla().nabla() and scaled.values == a.values
+            assert hash(a) == hash(scaled) and repr(a) == repr(scaled)
+            other = values[:-1] + [values[-1] + Fraction(1, rng.randint(1, 9))]
+            assert a != RationalSequence(other)
+            assert a != RationalSequence(values + [0]) and a != oracle
+
+
+def test_two_chain_sums_match_the_fraction_kernel_on_grids_that_are_not_square():
+    for m in range(1, 6):
+        for mu in all_indices(m):
+            for nu in all_indices(m):
+                for n, k in ((3, 5), (5, 2), (0, 4)):
+                    assert seq_s2(mu, nu, n, k) == _fraction_seq_s2(mu, nu, n, k), (mu, nu, n, k)
+
+
+def test_rational_sequence_rejects_floats_and_bools():
+    # as a Combination's coefficients do: 0.1 is not the rational 1/10
+    for values in ([0.1, 1], [True, 2], [1, False], [Fraction(1, 3), 2.0], ["1/2"]):
+        with pytest.raises(TypeError):
+            RationalSequence(values)
+    assert RationalSequence([Fraction(1, 10), 1]).values == (Fraction(1, 10), 1)

@@ -116,6 +116,46 @@ def test_recursion_agrees_with_matrix_enumeration():
         assert stuffle_bar(mu, nu) == stuffle_bar_via_matrices(mu, nu)
 
 
+def _tuple_matrix_sum(mu, nu, merged):
+    """The matrix sums as they were first computed: each matrix a tuple of
+    columns, its term decoded from the column sums."""
+    out = Combination()
+    for cols in enumerate_stuffle(mu, nu):
+        merges = sum(1 for a, b in cols if a and b)
+        out = out + Combination.term(tuple(a + b for a, b in cols), merged**merges)
+    return out
+
+
+def test_matrix_sums_on_keys_match_the_tuple_enumeration():
+    # every pair of total weight <= 8, phi on either side included
+    for w in range(9):
+        for a in range(w + 1):
+            for mu in all_indices(a):
+                for nu in all_indices(w - a):
+                    assert stuffle_via_matrices(mu, nu) == _tuple_matrix_sum(mu, nu, 1), (mu, nu)
+                    assert stuffle_bar_via_matrices(mu, nu) == _tuple_matrix_sum(mu, nu, -1)
+
+
+def test_reversal_telescope_fails_on_a_planted_wrong_product(monkeypatch):
+    from mzv import relations
+
+    keys = relations._stuffle_keys
+    assert relations.verify_reversal_telescope(idx(2, 1, 3))
+
+    def planted(k, l):
+        out = keys(k, l)
+        if (k, l) == (0b1, 0b10010):  # the head (1) times the tail (2,3)
+            out = dict(out)  # the memo's own dict stays as it is
+            out[0b1000] = out.get(0b1000, 0) + 1
+        return out
+
+    monkeypatch.setattr(relations, "_stuffle_keys", planted)
+    assert not relations.verify_reversal_telescope(idx(1, 2, 3))
+    assert relations.verify_reversal_telescope(idx(2, 1, 3))  # never multiplies that pair
+    monkeypatch.undo()
+    assert relations.verify_reversal_telescope(idx(1, 2, 3))
+
+
 def test_stuffle_cache_clear_empties_every_products_cache():
     from mzv.relations import stuffle_rows
 

@@ -132,6 +132,21 @@ def test_every_command_runs_without_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_the_command_line_imports_neither_dataclasses_nor_inspect():
+    # dataclasses pulls in inspect, ast, dis and tokenize, about 8 ms of every
+    # command's start; modules the interpreter loaded before mzv do not count
+    code = """if True:
+        import sys
+        before = set(sys.modules)
+        import mzv.cli
+        print(sorted({"dataclasses", "inspect"} & (set(sys.modules) - before)))
+    """
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=SRC.parent, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
 def test_every_cli_option_is_read():
     # an option that no code reads is a knob that does nothing: every dest of
     # every subcommand is read in cli.py as args.<dest> or getattr(args, "<dest>", ...)

@@ -50,7 +50,6 @@ from .relations import (
     kawashima_relation,
     ohno_relations,
     quadratic_relation,
-    stuffle_rows,
     terms_json,
     verify_reversal_telescope,
 )
@@ -58,8 +57,8 @@ from .relations import (
 HARD_WEIGHT_CAP = 20
 #: ``--truncation``'s default; the flag is validated and not read
 DEFAULT_TRUNCATION = 10**6
-#: the highest weight ``rank-table`` ranks exactly: 21-23 s at 12, and 13 ran past 120 s
-EXACT_WEIGHT_MAX = 12
+#: the highest weight ``rank-table`` ranks exactly: 13 alone took 53 s, 12 6.3 s (medians of 3)
+EXACT_WEIGHT_MAX = 13
 #: the most ``_rank_table_bytes`` ``rank-table`` admits: weight 16 took 21 s, 17 ran past 60 s
 RANK_TABLE_BYTES = 2**30
 #: the largest ``verify theorem310`` cost ``2**weight * ((grid + 1)**2 * (grid + 8) + 700)``
@@ -199,13 +198,6 @@ def _rank_table_bytes(k: int) -> tuple[int, int, int]:
     return 100 * ohno, 4 ** (k - 1) // 8, int(31.5 * 2.8**k)
 
 
-def _rank(k: int, rows, exact: bool) -> int:
-    """The exact or GF(2) rank of weight-k rows, taken sparsest first to keep
-    the fill-in small; the matrix is freed before the caller builds the next."""
-    span = RelationMatrix(k, sorted(rows, key=len))
-    return span.rank() if exact else span.modular_rank()
-
-
 def cmd_rank_table(args) -> int:
     if not 2 <= args.k_min <= args.k_max <= HARD_WEIGHT_CAP:
         print("mzv: need 2 <= k-min <= k-max <= %d" % HARD_WEIGHT_CAP, file=sys.stderr)
@@ -223,11 +215,12 @@ def cmd_rank_table(args) -> int:
     rows = []
     for k in range(args.k_min, args.k_max + 1):
         exact = k <= args.exact_up_to
-        # the Ohno rows first, while the stuffle memo holds no weight-k products;
-        # g = refine . signed is a bijection, so the raw stuffle rows have the
-        # rank of the Kawashima rows, bounded below over Q by the Lyndon-triangular rows
-        ohno_rank = _rank(k, (r.element for r in ohno_relations(k)), exact)
-        rank = _rank(k, stuffle_rows(k), True) if exact else lyndon.triangular_rank(k)
+        # the Ohno rows sparsest first, freed before the main column fills the product memo
+        # with weight k; the raw stuffle rows have the Kawashima rows' rank (g is one-to-one)
+        span = RelationMatrix(k, sorted((r.element for r in ohno_relations(k)), key=len))
+        ohno_rank = span.rank() if exact else span.modular_rank()
+        del span
+        rank = lyndon.certified_rank(k) if exact else lyndon.triangular_rank(k)
         rows.append({"k": k, "zagier": lyndon.zagier_dim(k), "formula": lyndon.dimension_formula(k),
                      "rank": rank, "ohno_rank": ohno_rank,
                      "mode": "exact" if exact else "modular-lower-bound"})

@@ -8,15 +8,20 @@ of binary Lyndon words of length ``m``; Moebius inversion of
 ``2**n = sum(d * count(d) for d | n)`` computes it.  Every index is the
 concatenation of its non-increasing Lyndon factors ``l1.l2...ln`` (Duval, J.
 Algorithms 4 (1983)); for ``n > 1``, ``stuffle(l1, l2...ln)`` has the index
-as its largest term, longest first and then by parts (Hoffman, 2000).
+as its largest term, longest first and then by parts (Hoffman, 2000).  These
+triangular rows bound the stuffle rows' rank below.  Solved through them, one
+integer kernel vector per Lyndon index, each checked on every stuffle row,
+bounds it above (Kaltofen, Nehring and Saunders, ISSAC 2011).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import lcm
 
-from .indices import MultiIndex, _key, all_indices, as_index, format_index
+from .indices import MultiIndex, _index, _key, all_indices, as_index, format_index
 from .products import _stuffle_keys
+from .relations import _pairs, stuffle_rows
 
 
 def moebius(n: int) -> int:
@@ -81,22 +86,76 @@ def lyndon_factors(mu) -> list[MultiIndex]:
     return factors
 
 
-def triangular_rank(k: int) -> int:
-    """The number of non-Lyndon weight-``k`` indices, each checked to lead its stuffle
-    row (or this raises): a lower bound over Q for the stuffle rows' rank, no elimination."""
-    count = 0
-    for mu in all_indices(k):
+def _triangular(k: int) -> tuple[dict, list]:
+    """Each non-Lyndon weight-``k`` key, fewest marks first and then by parts, mapped to its
+    Lyndon factor pair and their stuffle row, checked to lead with it; and the Lyndon keys."""
+    rows, lyndon = {}, []
+    for mu in sorted(all_indices(k), key=len):
         cut, w = lyndon_factors(mu)[0].weight, _key(mu)
         if cut == k:  # mu is Lyndon
+            lyndon.append(w)
             continue
-        row, n = _stuffle_keys(w & (1 << cut) - 1, w >> cut), w.bit_count()
+        pair = w & (1 << cut) - 1, w >> cut
+        row, n = _stuffle_keys(*pair), w.bit_count()
         # a same-length term precedes w by parts when it holds their lowest differing mark
         if row.get(w, 0) <= 0 or any(t.bit_count() > n or t.bit_count() == n and t != w
                                      and not t & (t ^ w) & -(t ^ w) for t in row):
             raise ArithmeticError("the stuffle row of the Lyndon factors of %s does not"
                                   " lead with it" % format_index(mu))
-        count += 1
-    return count
+        rows[w] = pair, row
+    return rows, lyndon
+
+
+def triangular_rank(k: int) -> int:
+    """The number of triangular rows: a lower bound over Q for the stuffle rows' rank."""
+    return len(_triangular(k)[0])
+
+
+def _kernel(rows: dict, lyndon: list, checked: list) -> tuple[dict, dict, int]:
+    """Kernel vectors, ``D`` at their own Lyndon key and 0 at the others, solved through the
+    triangular ``rows`` in order; an int per key, a ``width``-bit slot per vector, each slot
+    in ``[-2**bound[key], 2**bound[key])``."""
+    den, bound = dict.fromkeys(lyndon, 1), dict.fromkeys(lyndon, 0)
+    for w, (_, row) in rows.items():  # den[w] clears v[w]'s denominator; |v[w]| <= 2**bound[w]
+        den[w] = row[w] * lcm(*(den[t] for t in row if t != w))
+        bound[w] = (sum(abs(c) << bound[t] for t, c in row.items() if t != w)
+                    // row[w]).bit_length()
+    d = lcm(*den.values())
+    bound = {t: b + d.bit_length() for t, b in bound.items()}
+    width = 2 + max(sum(abs(c) << bound[t] for t, c in row.items()) for row in checked).bit_length()
+    vec = {t: d << width * j for j, t in enumerate(lyndon)}
+    for w, (_, row) in rows.items():
+        vec[w], rest = divmod(-sum(c * vec[t] for t, c in row.items() if t != w), row[w])
+        if rest:
+            raise ArithmeticError("the kernel entry at %s is not an integer" % (_index(w),))
+    return vec, bound, width
+
+
+def certified_rank(k: int) -> int:
+    """The rank over Q of the weight-``k`` stuffle rows, no elimination: the triangular rows
+    bound it below, ``psi2(k)`` kernel vectors above.  A failed check raises."""
+    rows, lyndon = _triangular(k)
+    pairs = [(_key(mu), _key(nu)) for mu, nu in _pairs(k)]
+    checked = [row._terms for row in stuffle_rows(k)]  # the rows of pairs, in order
+    ranked = set(map(frozenset, pairs))
+    for w, (pair, _) in rows.items():
+        if frozenset(pair) not in ranked:
+            raise ArithmeticError("the stuffle row of the Lyndon factors of %s is not among"
+                                  " the rows ranked" % (_index(w),))
+    vec, bound, width = _kernel(rows, lyndon, checked)
+    d, one = vec[lyndon[0]], ((1 << width * len(lyndon)) - 1) // ((1 << width) - 1)
+    own = {t: d << width * j for j, t in enumerate(lyndon)}  # D > 0 in its own slot only
+    for t, x in vec.items():
+        y = x + (one << bound[t])  # within its bound when every slot is in [0, 2**(b + 1))
+        if y < 0 or y & ~((one << bound[t] + 1) - one) or own.get(t, x) != x or d <= 0:
+            raise ArithmeticError("the kernel entry at %s is off its bound or slot" % (_index(t),))
+    # each row's bound below 2**(width - 2) makes a zero packed sum zero in every slot
+    for (a, b), row in zip(pairs, checked, strict=True):
+        if sum(abs(c) << bound[t] for t, c in row.items()) >> width - 2 or sum(
+                c * vec[t] for t, c in row.items()):
+            raise ArithmeticError("the kernel does not annihilate stuffle(%s, %s)"
+                                  % (_index(a), _index(b)))
+    return len(rows)
 
 
 def enumerate_lyndon(m: int) -> list[MultiIndex]:

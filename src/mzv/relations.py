@@ -5,7 +5,7 @@ The central family: for non-empty indices ``mu``, ``nu`` the combination
 :func:`kawashima_basis` collects one such row per unordered pair of a fixed
 total weight.  Since ``g = refine . signed`` is an involution of each weight
 space, hence a linear bijection, the raw products :func:`stuffle_rows` span
-a space of the same dimension; ``mzv rank-table`` ranks those sparser rows.
+a space of the same dimension, which ``mzv rank-table`` certifies from them.
 
 Reversal--dual differences (:func:`duality_relation`) and their images under
 the shift operators (:func:`ohno_relations`, one per sign pair) land inside
@@ -172,8 +172,8 @@ def ohno_relations(weight: int, r_max: int | None = None) -> list[LinearRelation
     """Shifted reversal--dual differences of total ``weight``, one per sign pair.
 
     For each shift ``r`` and each index ``mu`` of weight ``weight - r``, the
-    element is the shift of :func:`duality_element`; zero elements are
-    dropped, and so is ``mu`` when ``tau(mu)`` has the smaller key: the shift
+    element is the shift of :func:`duality_element`, built on keys; ``mu`` is
+    skipped when ``D(mu) = 0`` or ``tau(mu)`` has the smaller key: the shift
     is linear and ``D(tau(mu)) = -D(mu)``.  ``r_max`` defaults to ``weight - 2``
     (beyond that the base index has weight < 2 and everything vanishes).
     """
@@ -183,17 +183,15 @@ def ohno_relations(weight: int, r_max: int | None = None) -> list[LinearRelation
         r_max = weight - 2
     out = []
     for r in range(0, min(r_max, weight - 2) + 1):
+        top = 1 << weight - r - 1
         for mu in all_indices(weight - r):
-            k = _key(mu)
-            top = 1 << k.bit_length() - 1
-            # tau on keys: mirror the marks below the top bit, then complement them
-            if top | _mirror(k ^ top, k.bit_length() - 1) ^ top - 1 < k:
+            k = _key(mu)  # reverse mirrors the marks below the top bit, dual complements them
+            rev, dual_key = top | _mirror(k ^ top, weight - r - 1), k ^ top - 1
+            if rev ^ top - 1 < k or rev == dual_key:  # tau(mu) first, or D(mu) = 0
                 continue
-            element = ohno_u(r, duality_element(mu))
-            if element.is_zero():
-                continue
-            tag = "ohno(%s,%d)" % (format_index(mu), r)
-            out.append(LinearRelation(element, tag, weight))
+            # ohno_u(r, nu)'s smallest term by parts gives nu back, so this is not 0
+            element = ohno_u(r, Combination._of({rev: 1, dual_key: -1}))
+            out.append(LinearRelation(element, "ohno(%s,%d)" % (format_index(mu), r), weight))
     return out
 
 

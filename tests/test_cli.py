@@ -10,6 +10,7 @@ import pytest
 from mzv import cli, products
 from mzv.harmonic import seq_s2
 from mzv.indices import Combination, all_indices
+from mzv.qlinalg import RelationMatrix
 from mzv.relations import ohno_relations
 
 
@@ -100,6 +101,21 @@ def test_rank_table_small(capsys):
         (4, 6, 5, 5, 5),
     ]
     assert all(r["mode"] == "exact" for r in rows)
+
+
+def test_rank_table_ranks_only_the_ohno_matrices(capsys, monkeypatch):
+    # the exact main column is certified without elimination: no stuffle matrix is ranked
+    seen, real = [], RelationMatrix.rank
+
+    def spy(self):
+        seen.append((self.weight, sorted(map(str, self.rows))))
+        return real(self)
+
+    monkeypatch.setattr(RelationMatrix, "rank", spy)
+    code, _, _ = run(["rank-table", "--k-max", "9"], capsys)
+    assert code == 0
+    assert seen == [(k, sorted(str(rel.element) for rel in ohno_relations(k)))
+                    for k in range(2, 10)]
 
 
 def test_rank_table_modular_mode(capsys):
@@ -462,7 +478,7 @@ def test_rank_table_still_refuses_an_exact_rank_at_weight_15_up_front():
     proc = _run_with_timeout(["rank-table", "--k-min", "15", "--k-max", "15",
                               "--exact-up-to", "15"])
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == ("mzv: rank-table: an exact rank at weight 15 is above the limit 12"
+    assert proc.stderr == ("mzv: rank-table: an exact rank at weight 15 is above the limit 13"
                            " (lower --exact-up-to)\n")
 
 
@@ -602,14 +618,14 @@ def test_verify_ohno_names_the_first_element_outside_the_span(monkeypatch, capsy
 
 
 @pytest.mark.parametrize("argv, weight", [
-    (["--k-min", "13", "--k-max", "13", "--exact-up-to", "13"], 13),
+    (["--k-min", "14", "--k-max", "14", "--exact-up-to", "14"], 14),
     (["--k-min", "2", "--k-max", "14", "--exact-up-to", "20"], 14),
 ])
-def test_rank_table_refuses_an_exact_rank_above_weight_12_up_front(argv, weight):
-    # exact weight 12 took 20.6 s, and weight 13 ran past 120 s
+def test_rank_table_refuses_an_exact_rank_above_weight_13_up_front(argv, weight):
+    # exact weight 12 alone took 6.3 s and weight 13 53 s (medians of three fresh runs)
     proc = _run_with_timeout(["rank-table", *argv])
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == ("mzv: rank-table: an exact rank at weight %d is above the limit 12"
+    assert proc.stderr == ("mzv: rank-table: an exact rank at weight %d is above the limit 13"
                            " (lower --exact-up-to)\n" % weight)
 
 
@@ -624,11 +640,12 @@ def _admitted(k, r_max=None):
 
 @pytest.mark.parametrize("argv", [
     ["--k-min", "12", "--k-max", "12", "--exact-up-to", "12"],
-    ["--k-min", "13", "--k-max", "13", "--exact-up-to", "12"],
-    # no weight in the range is ranked exactly
+    ["--k-min", "13", "--k-max", "13", "--exact-up-to", "13"],
     ["--k-min", "14", "--k-max", "14", "--exact-up-to", "13"],
+    # no weight in the range is ranked exactly
+    ["--k-min", "15", "--k-max", "15", "--exact-up-to", "14"],
 ])
-def test_rank_table_admits_exact_ranks_through_weight_12(argv, monkeypatch):
+def test_rank_table_admits_exact_ranks_through_weight_13(argv, monkeypatch):
     monkeypatch.setattr(cli, "ohno_relations", _admitted)
     with pytest.raises(Admitted):
         cli.main(["rank-table", *argv])

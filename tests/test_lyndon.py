@@ -8,6 +8,7 @@ from mzv import lyndon
 from mzv.indices import _index, _key, all_indices
 from mzv.lyndon import (
     binary_lyndon_count,
+    certified_rank,
     dimension_formula,
     enumerate_lyndon,
     is_lyndon,
@@ -184,3 +185,75 @@ def test_a_planted_wrong_leading_term_raises_also_under_python_O(plant):
         proc = subprocess.run([sys.executable, *flags, "-c", PLANT % PLANTED[plant]], cwd=src,
                               capture_output=True, text=True, timeout=60)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, message, ""), flags
+
+
+def test_certified_rank_is_the_exact_rank_of_the_stuffle_rows():
+    # the fraction-free elimination it replaced, kept as the oracle
+    for k in range(2, 11):
+        rank = RelationMatrix(k, stuffle_rows(k)).rank()
+        assert certified_rank(k) == rank == dimension_formula(k), k
+
+
+# faults planted into the certified rank at weight 5, each with the message it must raise
+PLANTED_KERNEL = {
+    "row": ("""
+    real = lyndon.stuffle_rows
+
+    def planted(k):
+        rows = real(k)
+        i = list(relations._pairs(k)).index(((1,), (1, 2, 1)))
+        terms = dict(rows[i]._terms)
+        terms[_key((1, 1, 2, 1))] += 1
+        rows[i] = Combination._of(terms)
+        return rows
+
+    lyndon.stuffle_rows = planted
+""", "the kernel does not annihilate stuffle((1), (1,2,1))"),
+    "unranked": ("""
+    real = relations._pairs
+
+    def planted(k):
+        return [pair for pair in real(k) if pair != ((2,), (1, 2))]
+
+    relations._pairs = lyndon._pairs = planted
+""", "the stuffle row of the Lyndon factors of (2,1,2) is not among the rows ranked"),
+    "slot": ("""
+    real = lyndon._kernel
+
+    def planted(rows, keys, checked):
+        vec, bound, width = real(rows, keys, checked)
+        vec[_key((2, 1, 2))] += 1 << width * 2
+        return vec, bound, width
+
+    lyndon._kernel = planted
+""", "the kernel does not annihilate stuffle((1), (1,1,2))"),
+    "bound": ("""
+    real = lyndon._kernel
+
+    def planted(rows, keys, checked):
+        vec, bound, width = real(rows, keys, checked)
+        bound[keys[0]] -= 1
+        return vec, bound, width
+
+    lyndon._kernel = planted
+""", "the kernel entry at (5) is off its bound or slot"),
+}
+PLANT_KERNEL = """if True:
+    from mzv import lyndon, relations
+    from mzv.indices import Combination, _key
+%s
+    try:
+        lyndon.certified_rank(5)
+    except ArithmeticError as exc:
+        print(exc)
+"""
+
+
+@pytest.mark.parametrize("plant", sorted(PLANTED_KERNEL))
+def test_a_planted_kernel_fault_raises_also_under_python_O(plant):
+    code, message = PLANTED_KERNEL[plant]
+    src = Path(lyndon.__file__).resolve().parents[1]
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-c", PLANT_KERNEL % code], cwd=src,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "%s\n" % message, ""), flags

@@ -11,6 +11,7 @@ from mzv.indices import (
     all_indices,
     coarsen,
     dual,
+    format_index,
     idx,
     ones,
     refine,
@@ -215,6 +216,23 @@ def test_one_element_per_sign_pair_keeps_both_ranks():
         assert kept.modular_rank() == every.modular_rank(), k
         if k <= 9:
             assert kept.rank() == every.rank(), k
+
+
+def _ohno_oracle(k):
+    # the Combination path: tau = dual . reverse by the operators, zero elements dropped
+    return [LinearRelation(element, "ohno(%s,%d)" % (format_index(mu), r), k)
+            for r in range(k - 1) for mu in all_indices(k - r)
+            if _key(dual(reverse(mu))) >= _key(mu)
+            and not (element := ohno_u(r, duality_element(mu))).is_zero()]
+
+
+def test_keyed_ohno_rows_match_the_combination_path():
+    for k in range(2, 12):
+        oracle = _ohno_oracle(k)
+        for r_max in (None, 0, 3):
+            shift = k - 2 if r_max is None else r_max
+            expected = [rel for rel in oracle if int(rel.provenance[:-1].rsplit(",", 1)[1]) <= shift]
+            assert ohno_relations(k, r_max) == expected, (k, r_max)
 
 
 def test_ohno_relations_match_operator_application():

@@ -11,7 +11,8 @@ Algorithms 4 (1983)); for ``n > 1``, ``stuffle(l1, l2...ln)`` has the index
 as its largest term, longest first and then by parts (Hoffman, 2000).  These
 triangular rows bound the stuffle rows' rank below.  Solved through them, one
 integer kernel vector per Lyndon index, each checked on every stuffle row,
-bounds it above (Kaltofen, Nehring and Saunders, ISSAC 2011).
+bounds it above (Kaltofen, Nehring and Saunders, ISSAC 2011).  The bounds meet,
+so a combination lies in the rows' span exactly when the kernel annihilates it.
 """
 
 from __future__ import annotations
@@ -131,9 +132,10 @@ def _kernel(rows: dict, lyndon: list, checked: list) -> tuple[dict, dict, int]:
     return vec, bound, width
 
 
-def certified_rank(k: int) -> int:
+def _certified_kernel(k: int, queries=()) -> tuple[int, tuple[dict, dict, int]]:
     """The rank over Q of the weight-``k`` stuffle rows, no elimination: the triangular rows
-    bound it below, ``psi2(k)`` kernel vectors above.  A failed check raises."""
+    bound it below, ``psi2(k)`` kernel vectors above, so these span the rows' annihilator; and
+    that kernel ``(vec, bound, width)``, its slots wide enough for the integer ``queries``."""
     rows, lyndon = _triangular(k)
     pairs = [(_key(mu), _key(nu)) for mu, nu in _pairs(k)]
     checked = [row._terms for row in stuffle_rows(k)]  # the rows of pairs, in order
@@ -142,7 +144,7 @@ def certified_rank(k: int) -> int:
         if frozenset(pair) not in ranked:
             raise ArithmeticError("the stuffle row of the Lyndon factors of %s is not among"
                                   " the rows ranked" % (_index(w),))
-    vec, bound, width = _kernel(rows, lyndon, checked)
+    vec, bound, width = _kernel(rows, lyndon, checked + list(queries))
     d, one = vec[lyndon[0]], ((1 << width * len(lyndon)) - 1) // ((1 << width) - 1)
     own = {t: d << width * j for j, t in enumerate(lyndon)}  # D > 0 in its own slot only
     for t, x in vec.items():
@@ -155,7 +157,26 @@ def certified_rank(k: int) -> int:
                 c * vec[t] for t, c in row.items()):
             raise ArithmeticError("the kernel does not annihilate stuffle(%s, %s)"
                                   % (_index(a), _index(b)))
-    return len(rows)
+    return len(rows), (vec, bound, width)
+
+
+def certified_rank(k: int) -> int:
+    """The rank over Q of the weight-``k`` stuffle rows, certified by :func:`_certified_kernel`."""
+    return _certified_kernel(k)[0]
+
+
+def in_stuffle_span(k: int, combinations) -> list[bool]:
+    """Whether each weight-``k`` combination lies in the span over Q of the stuffle rows: whether
+    the certified kernel annihilates it, one packed sum each.  A failed check raises."""
+    queries = [(x * lcm(*(c.denominator for c in x._terms.values())))._terms  # in integers
+               for x in combinations]
+    _, (vec, bound, width) = _certified_kernel(k, queries)
+    inside = []
+    for i, query in enumerate(queries):
+        if sum(abs(c) << bound[t] for t, c in query.items()) >> width - 2:
+            raise ArithmeticError("query %d does not fit the kernel's slots" % i)
+        inside.append(not sum(c * vec[t] for t, c in query.items()))
+    return inside
 
 
 def enumerate_lyndon(m: int) -> list[MultiIndex]:

@@ -11,8 +11,8 @@ reduced against the pivot rows before it, and a row that stays non-zero
 becomes a pivot row on its smallest non-zero column.  No row is swapped and
 no column is scanned for a pivot, so the cost follows the row order while the
 rank does not; sparsest first keeps the stuffle rows' fill-in and integer
-entries small, and ``rank-table`` hands its Ohno rows in that order.  Membership
-certificates depend on the order, so nothing here reorders rows.
+entries small.  Membership certificates depend on the order, so nothing here
+reorders rows.
 
 Over the integers the elimination is fraction-free and serves both exact
 questions.  The rank is the number of echelon rows.  Echelon row ``t`` keeps

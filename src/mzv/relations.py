@@ -9,8 +9,8 @@ a space of the same dimension, which ``mzv rank-table`` certifies from them.
 
 Reversal--dual differences (:func:`duality_relation`) and their images under
 the shift operators (:func:`ohno_relations`, one per sign pair) land inside
-the span of :func:`kawashima_basis`; the membership certificates produced in
-the tests make that containment concrete.
+the span of :func:`kawashima_basis`: ``verify duality`` shows it by membership
+certificates, ``verify ohno`` by :func:`mzv.lyndon.in_stuffle_span` of ``g(x)``.
 
 Quadratic counterparts pair two raised evaluations against one: see
 :func:`quadratic_relation`, whose terms come from fusing with all-ones tails,

@@ -363,7 +363,7 @@ def test_theorem310_defaults_still_run(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["identities", "--weight", "13"], "--weight must be <= 12 for the identities suite"),
     (["duality", "--weight", "11"], "--weight must be <= 10 for the duality suite"),
-    (["ohno", "--weight", "11"], "--weight must be <= 10 for the ohno suite"),
+    (["ohno", "--weight", "14"], "--weight must be <= 13 for the ohno suite"),
     (["numeric", "--pairs-up-to", "12"], "--pairs-up-to must be <= 11 for the numeric suite"),
 ])
 def test_verify_refuses_a_weight_above_its_suite_limit_up_front(argv, message, capsys,
@@ -379,7 +379,7 @@ def test_verify_refuses_a_weight_above_its_suite_limit_up_front(argv, message, c
 @pytest.mark.parametrize("argv", [
     ["identities", "--weight", "12"],
     ["duality", "--weight", "10"],
-    ["ohno", "--weight", "10"],
+    ["ohno", "--weight", "13"],
     ["numeric", "--pairs-up-to", "11"],
     ["theorem310", "--weight", "13", "--grid", "0"],
 ])
@@ -615,6 +615,20 @@ def test_verify_ohno_names_the_first_element_outside_the_span(monkeypatch, capsy
     assert code == 1
     assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
         "FAIL shifted duality inside span at weight 5: first outside ohno((2,3),0)"]
+
+
+def test_verify_ohno_builds_no_relation_matrix(monkeypatch, capsys):
+    # the certified stuffle-row kernel decides containment, with no echelon
+    seen = []
+    real = RelationMatrix.__init__
+
+    def spy(self, weight, rows):
+        seen.append(weight)
+        real(self, weight, rows)
+
+    monkeypatch.setattr(RelationMatrix, "__init__", spy)
+    code, out, _ = run(["verify", "ohno", "--weight", "6"], capsys)
+    assert (code, out.splitlines()[-1], seen) == (0, "6 checks, all passed", [])
 
 
 @pytest.mark.parametrize("argv, weight", [

@@ -1,16 +1,18 @@
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from mzv import lyndon
-from mzv.indices import _index, _key, all_indices
+from mzv.indices import Combination, _index, _key, all_indices, refine, signed
 from mzv.lyndon import (
     binary_lyndon_count,
     certified_rank,
     dimension_formula,
     enumerate_lyndon,
+    in_stuffle_span,
     is_lyndon,
     lyndon_factors,
     moebius,
@@ -20,7 +22,7 @@ from mzv.lyndon import (
 )
 from mzv.products import _stuffle_keys
 from mzv.qlinalg import RelationMatrix
-from mzv.relations import stuffle_rows
+from mzv.relations import duality_element, kawashima_basis, ohno_relations, stuffle_rows
 
 
 def test_moebius_values():
@@ -194,6 +196,46 @@ def test_certified_rank_is_the_exact_rank_of_the_stuffle_rows():
         assert certified_rank(k) == rank == dimension_formula(k), k
 
 
+def _g(x):
+    return refine(signed(x))
+
+
+def test_in_stuffle_span_agrees_with_membership_certificates():
+    # member() on the stuffle rows (queried with g(x)) and on the Kawashima rows (with x),
+    # kept as the oracles: every Ohno and duality element, each also planted outside
+    for k in range(2, 9):
+        stuffle, kawashima = (RelationMatrix(k, stuffle_rows(k)),
+                              RelationMatrix.from_relations(kawashima_basis(k)))
+        lyndon_keys = [_key(mu) for mu in enumerate_lyndon(k)]
+        elements = [rel.element for rel in ohno_relations(k)]
+        elements += [duality_element(mu) for mu in all_indices(k)]
+        queries = [_g(x) for x in elements]
+        # one more term at a Lyndon index, where only its own kernel vector is non-zero
+        outside = [y + Combination.term(_index(lyndon_keys[i % len(lyndon_keys)]))
+                   for i, y in enumerate(queries)]
+        # one coefficient of the element off by 1/500 (a self-dual reversal gives 0)
+        off = [_g(x + Combination.term(x.support()[0], Fraction(1, 500))) for x in elements if x]
+        inside = in_stuffle_span(k, queries + outside + off)
+        assert inside == [stuffle.member(y) is not None for y in queries + outside + off], k
+        assert inside == [kawashima.member(_g(y)) is not None
+                          for y in queries + outside + off], k
+        assert inside[:len(queries)] == [True] * len(queries), k
+        assert inside[len(queries):] == [False] * (len(outside) + len(off)), k
+
+
+def test_in_stuffle_span_refuses_a_query_wider_than_the_kernel_slots(monkeypatch):
+    real = lyndon._kernel
+
+    def planted(rows, keys, checked):  # slots sized for the stuffle rows alone
+        return real(rows, keys, checked[:len(stuffle_rows(5))])
+
+    monkeypatch.setattr(lyndon, "_kernel", planted)
+    row = stuffle_rows(5)[0]
+    assert in_stuffle_span(5, [row]) == [True]
+    with pytest.raises(ArithmeticError, match="^query 1 does not fit the kernel's slots$"):
+        in_stuffle_span(5, [row, row * 2**400])
+
+
 # faults planted into the certified rank at weight 5, each with the message it must raise
 PLANTED_KERNEL = {
     "row": ("""
@@ -240,12 +282,14 @@ PLANTED_KERNEL = {
 }
 PLANT_KERNEL = """if True:
     from mzv import lyndon, relations
-    from mzv.indices import Combination, _key
+    from mzv.indices import Combination, _key, refine, signed
 %s
-    try:
-        lyndon.certified_rank(5)
-    except ArithmeticError as exc:
-        print(exc)
+    queries = [refine(signed(rel.element)) for rel in relations.ohno_relations(5)]
+    for run in (lambda: lyndon.certified_rank(5), lambda: lyndon.in_stuffle_span(5, queries)):
+        try:
+            print(run())
+        except ArithmeticError as exc:
+            print(exc)
 """
 
 
@@ -256,4 +300,5 @@ def test_a_planted_kernel_fault_raises_also_under_python_O(plant):
     for flags in ([], ["-O"]):
         proc = subprocess.run([sys.executable, *flags, "-c", PLANT_KERNEL % code], cwd=src,
                               capture_output=True, text=True, timeout=60)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "%s\n" % message, ""), flags
+        # each raises before it answers, for the rank and for the containment query alike
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "%s\n" % message * 2, ""), flags

@@ -74,33 +74,24 @@ def is_lyndon(mu) -> bool:
     return all(t < t[i:] for i in range(1, len(t)))
 
 
-def lyndon_factors(mu) -> list[MultiIndex]:
-    """The Lyndon factors of ``mu``, non-increasing, whose concatenation is ``mu`` (Duval)."""
-    t, factors, i = as_index(mu), [], 0
-    while i < len(t):
-        j, k = i + 1, i
-        while j < len(t) and t[k] <= t[j]:
-            k, j = k + 1 if t[k] == t[j] else i, j + 1
-        while i <= k:
-            factors.append(MultiIndex(t[i:i + j - k]))
-            i += j - k
-    return factors
-
-
 def _triangular(k: int) -> tuple[dict, list]:
     """Each non-Lyndon weight-``k`` key, fewest marks first and then by parts, mapped to its
     Lyndon factor pair and their stuffle row, checked to lead with it; and the Lyndon keys."""
     rows, lyndon = {}, []
     for mu in sorted(all_indices(k), key=len):
-        cut, w = lyndon_factors(mu)[0].weight, _key(mu)
+        i, j = 0, 1  # one step of Duval's: mu[:j - i] is the first Lyndon factor
+        while j < len(mu) and mu[i] <= mu[j]:
+            i, j = i + 1 if mu[i] == mu[j] else 0, j + 1
+        cut, w = sum(mu[:j - i]), _key(mu)
         if cut == k:  # mu is Lyndon
             lyndon.append(w)
             continue
         pair = w & (1 << cut) - 1, w >> cut
         row, n = _stuffle_keys(*pair), w.bit_count()
-        # a same-length term precedes w by parts when it holds their lowest differing mark
-        if row.get(w, 0) <= 0 or any(t.bit_count() > n or t.bit_count() == n and t != w
-                                     and not t & (t ^ w) & -(t ^ w) for t in row):
+        # no term is longer; a same-length term precedes w by parts when it holds their
+        # lowest differing mark
+        if row.get(w, 0) <= 0 or max(map(int.bit_count, row)) > n or any(
+                t.bit_count() == n and t != w and not t & (t ^ w) & -(t ^ w) for t in row):
             raise ArithmeticError("the stuffle row of the Lyndon factors of %s does not"
                                   " lead with it" % format_index(mu))
         rows[w] = pair, row

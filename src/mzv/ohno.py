@@ -9,19 +9,21 @@ of these operators multiplies their labels harmonically.
 
 ``ohno_bar_apply`` is the same operator conjugated by ``dual``.  The label
 ``refine((r,))``, every composition of ``r``, adds each weak composition of
-``r`` into ``len(nu)`` parts to ``nu`` once (:func:`ohno_u`).  For it, both
-operators admit closed block-splitting formulas -- sums over decompositions
-of the argument into consecutive blocks -- which are implemented separately
-(`ohno_ones_blocks`, `ohno_u_blocks`, and the weight-split sums
-`ohno_bar_u_blocks`/`shifted_block_sum`, which differ only in the allowed cut
-positions) and used to cross-check the generic path.
+``r`` into ``len(nu)`` parts to ``nu`` once (:func:`ohno_u`).  On mark keys it
+recurses on the last part, which takes ``e`` of ``r`` while the head is shifted
+by ``r - e``: every term is a distinct key of multiplicity 1, and a bounded
+cache, emptied by ``relations.ohno_relations``, holds the shifts.  For this
+label both operators admit closed block-splitting formulas -- sums over
+decompositions of the argument into consecutive blocks -- which are
+implemented separately (`ohno_ones_blocks`, `ohno_u_blocks`, and the
+weight-split sums `ohno_bar_u_blocks`/`shifted_block_sum`, which differ only
+in the allowed cut positions) and used to cross-check the generic path.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from operator import add
 
 from .indices import (
     PHI,
@@ -70,11 +72,14 @@ def ohno_bar_apply(label, x) -> Combination:
     return dual(ohno_apply(label, dual(x)))
 
 
-@lru_cache(maxsize=1 << 10)
-def _weak_compositions(r: int, q: int) -> list[tuple[int, ...]]:
-    """Every way to write ``r`` as an ordered sum of ``q`` parts ``>= 0``."""
-    picks = itertools.combinations_with_replacement(range(q), r)
-    return [tuple(map(p.count, range(q))) for p in picks]
+@lru_cache(maxsize=1 << 12)
+def _shifts(key: int, r: int) -> list[int]:
+    """The keys of ``ohno_u(r, key)``, each of multiplicity 1: the head takes ``s`` of ``r``
+    and the last part the rest, so every key ends at the bit of the shifted weight."""
+    if not key:
+        return [] if r else [0]
+    head, top = key ^ 1 << key.bit_length() - 1, 1 << key.bit_length() + r - 1
+    return [t | top for s in range(r + 1) for t in _shifts(head, s)]
 
 
 def ohno_u(r: int, x) -> Combination:
@@ -83,8 +88,7 @@ def ohno_u(r: int, x) -> Combination:
         raise ValueError("the shift amount must be >= 0")
     data = {}
     for k, c in as_combination(x)._terms.items():
-        nu = _index(k)
-        _accumulate(data, ((_key(map(add, nu, e)), c) for e in _weak_compositions(r, len(nu))))
+        _accumulate(data, zip(_shifts(k, r), itertools.repeat(c)))
     return Combination._of(data)
 
 

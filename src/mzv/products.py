@@ -6,13 +6,15 @@ works on the mark keys of :mod:`mzv.indices` (bit ``s-1`` for each partial
 sum ``s``; phi is 0) through its one bilinear helper, so a product is never
 decoded.  ``_stuffle`` recurses on the last parts: dropping the last part
 clears the top bit, and appending the part that makes weight ``w`` sets bit
-``w-1``.  It and ``_stuffle_bar`` keep every key-pair product they meet until
-:func:`stuffle_cache_clear`; ``relations.stuffle_rows`` hands out
-``_stuffle``'s own dicts as rows, so nothing may change a memoised dict.  The
-slow oracle is Hoffman's definition: :func:`enumerate_stuffle` lists the
-two-row matrices as tuples of ``(top, bottom)`` columns, and the
-``*_via_matrices`` sums walk the same matrices column by column on mark keys,
-one term per matrix, without the memo.
+``w-1``.  Its three branches merge into one dict, one ``get`` per term; no
+multiplicity is negative (Hoffman), so none cancels.  It and ``_stuffle_bar``
+keep every key-pair product they meet until :func:`stuffle_cache_clear`;
+``relations.stuffle_rows`` hands out ``_stuffle``'s own dicts as rows, so
+nothing may change a memoised dict.  The slow oracle is Hoffman's
+definition: :func:`enumerate_stuffle` lists the two-row matrices as tuples
+of ``(top, bottom)`` columns, and the ``*_via_matrices`` sums walk the same
+matrices column by column on mark keys, one term per matrix, without the
+memo.
 
 ``stuffle_bar`` is not a second product but the length-sign twist of the
 first: ``stuffle_bar(x, y) = signed(stuffle(signed(x), signed(y)))``, so every
@@ -34,7 +36,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate
 
-from .indices import Combination, _accumulate, _bilinear, as_index
+from .indices import Combination, _bilinear, as_index
 
 
 def enumerate_stuffle(mu, nu) -> list[tuple[tuple[int, int], ...]]:
@@ -108,8 +110,11 @@ def _stuffle(k: int, l: int) -> dict:
     tk, tl = 1 << k.bit_length() - 1, 1 << l.bit_length() - 1
     k0, l0, top = k ^ tk, l ^ tl, tk << l.bit_length()
     out = {key | top: c for key, c in _stuffle(k0, l).items()}
-    for pair in sorted((k, l0)), sorted((k0, l0)):
-        _accumulate(out, ((key | top, c) for key, c in _stuffle(*pair).items()))
+    get = out.get
+    for part in _stuffle_keys(k, l0), _stuffle_keys(k0, l0):
+        for key, c in part.items():
+            key |= top
+            out[key] = get(key, 0) + c
     return out
 
 

@@ -40,7 +40,7 @@ from .indices import (
     reverse,
     signed,
 )
-from .ohno import ohno_u
+from .ohno import _shifts, ohno_u
 from .products import _stuffle_keys, circ, stuffle
 
 
@@ -192,6 +192,7 @@ def ohno_relations(weight: int, r_max: int | None = None) -> list[LinearRelation
             # ohno_u(r, nu)'s smallest term by parts gives nu back, so this is not 0
             element = ohno_u(r, Combination._of({rev: 1, dual_key: -1}))
             out.append(LinearRelation(element, "ohno(%s,%d)" % (format_index(mu), r), weight))
+    _shifts.cache_clear()  # kept for the next weight, the shifts would raise the peak memory
     return out
 
 

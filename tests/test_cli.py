@@ -104,18 +104,35 @@ def test_rank_table_small(capsys):
 
 
 def test_rank_table_ranks_only_the_ohno_matrices(capsys, monkeypatch):
-    # the exact main column is certified without elimination: no stuffle matrix is ranked
+    # the exact main column is certified without elimination: no stuffle matrix is ranked;
+    # the Ohno rows come latest leading column first, in generation order among ties
     seen, real = [], RelationMatrix.rank
 
     def spy(self):
-        seen.append((self.weight, sorted(map(str, self.rows))))
+        seen.append((self.weight, list(map(str, self.rows))))
         return real(self)
 
     monkeypatch.setattr(RelationMatrix, "rank", spy)
     code, _, _ = run(["rank-table", "--k-max", "9"], capsys)
     assert code == 0
-    assert seen == [(k, sorted(str(rel.element) for rel in ohno_relations(k)))
-                    for k in range(2, 10)]
+    assert seen == [(k, _latest_leading_column_first(k)) for k in range(2, 10)]
+
+
+def _latest_leading_column_first(k):
+    # a row's leading column is the smallest position of its terms among the columns
+    column = {mu: j for j, mu in enumerate(all_indices(k))}
+    rows = [rel.element for rel in ohno_relations(k)]
+    lead = [min(column[mu] for mu, _ in x) for x in rows]
+    return [str(rows[i]) for i in sorted(range(len(rows)), key=lambda i: (-lead[i], i))]
+
+
+def test_exact_ohno_rank_is_the_same_in_every_row_order():
+    # generation order, densest first and rank-table's latest leading column first
+    for k, want in zip(range(2, 11), [1, 2, 5, 10, 23, 46, 98, 199, 411]):
+        rows = [rel.element for rel in ohno_relations(k)]
+        for order in (rows, sorted(rows, key=len, reverse=True),
+                      sorted(rows, key=lambda x: x.support()[0], reverse=True)):
+            assert RelationMatrix(k, order).rank() == want, k
 
 
 def test_rank_table_modular_mode(capsys):
@@ -453,12 +470,12 @@ def test_apply_and_product_refuse_huge_expansions_up_front(argv):
     assert proc.stderr.startswith("mzv: ") and "terms, above the limit 524288" in proc.stderr
 
 
-def _run_with_timeout(argv, timeout=10):
+def _run_with_timeout(argv, timeout=10, flags=()):
     # in a subprocess with a timeout, so that a missing guard fails instead of hanging
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(Path(cli.__file__).resolve().parents[1])] + sys.path))
     return subprocess.run(
-        [sys.executable, "-m", "mzv.cli", *argv],
+        [sys.executable, *flags, "-m", "mzv.cli", *argv],
         capture_output=True, text=True, timeout=timeout, env=env,
     )
 
@@ -480,6 +497,23 @@ def test_rank_table_still_refuses_an_exact_rank_at_weight_15_up_front():
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == ("mzv: rank-table: an exact rank at weight 15 is above the limit 13"
                            " (lower --exact-up-to)\n")
+
+
+def test_rank_table_k_max_10_prints_the_acceptance_table_under_python_O():
+    # the benchmark's own command, in a fresh process: ranks 1..413 and 1..411, exact through 9
+    proc = _run_with_timeout(["rank-table", "--k-max", "10"], timeout=60, flags=["-O"])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        "  k      d_Z  formula     rank  ohno-rank  mode\n"
+        "  2        1        1        1          1  exact\n"
+        "  3        3        2        2          2  exact\n"
+        "  4        6        5        5          5  exact\n"
+        "  5       14       10       10         10  exact\n"
+        "  6       29       23       23         23  exact\n"
+        "  7       60       46       46         46  exact\n"
+        "  8      123       98       98         98  exact\n"
+        "  9      249      200      200        199  exact\n"
+        " 10      503      413      413        411  modular-lower-bound\n")
 
 
 def test_rank_table_weight_12_headline_row():

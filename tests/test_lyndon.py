@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from mzv import lyndon
-from mzv.indices import Combination, _index, _key, all_indices, refine, signed
+from mzv.indices import Combination, MultiIndex, _index, _key, all_indices, as_index, refine, signed
 from mzv.lyndon import (
     binary_lyndon_count,
     certified_rank,
@@ -14,7 +14,6 @@ from mzv.lyndon import (
     enumerate_lyndon,
     in_stuffle_span,
     is_lyndon,
-    lyndon_factors,
     moebius,
     psi2,
     triangular_rank,
@@ -118,6 +117,20 @@ def test_dimension_formula_complements_lyndon_count():
         assert dimension_formula(k) <= zagier_dim(k)
 
 
+def lyndon_factors(mu):
+    """The Lyndon factors of ``mu``, non-increasing, whose concatenation is ``mu`` (Duval):
+    the factorisation whose first step ``lyndon._triangular`` takes, kept as its oracle."""
+    t, factors, i = as_index(mu), [], 0
+    while i < len(t):
+        j, k = i + 1, i
+        while j < len(t) and t[k] <= t[j]:
+            k, j = k + 1 if t[k] == t[j] else i, j + 1
+        while i <= k:
+            factors.append(MultiIndex(t[i:i + j - k]))
+            i += j - k
+    return factors
+
+
 def test_lyndon_factors_are_non_increasing_lyndon_words_that_rebuild_the_index():
     assert lyndon_factors((1, 2, 1, 2)) == [(1, 2), (1, 2)]
     assert lyndon_factors((2, 1, 2)) == [(2,), (1, 2)]
@@ -135,6 +148,17 @@ def test_triangular_rank_is_the_modular_rank_of_the_stuffle_rows():
     # the GF(2) elimination it replaced, kept as the oracle
     for k in range(2, 13):
         assert triangular_rank(k) == RelationMatrix(k, stuffle_rows(k)).modular_rank(), k
+
+
+def test_triangular_rows_split_off_the_first_lyndon_factor():
+    # _triangular's one Duval step against the whole factorisation
+    for k in range(2, 13):
+        rows, lyndon_keys = lyndon._triangular(k)
+        factors = {_key(mu): lyndon_factors(mu) for mu in all_indices(k)}
+        assert sorted(lyndon_keys) == sorted(w for w, f in factors.items() if len(f) == 1), k
+        assert {w: pair for w, (pair, _) in rows.items()} == {
+            w: (_key(head), _key(sum(rest, ()))) for w, (head, *rest) in factors.items()
+            if rest}, k
 
 
 def test_triangular_rows_lead_with_their_index():

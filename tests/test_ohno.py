@@ -1,9 +1,13 @@
 import itertools
 from fractions import Fraction
+from operator import add
 
 from mzv.indices import (
     PHI,
     Combination,
+    _accumulate,
+    _index,
+    _key,
     all_indices,
     as_combination,
     concat,
@@ -139,6 +143,28 @@ def test_refined_label_operator():
             assert ohno_u(r, x) == ohno_apply(label[r], x), (r, x)
     assert ohno_u(1, term(1, 2) - term(2, 1)) == term(1, 3) - term(3, 1)
     assert ohno_u(2, half) == ohno_apply(label[2], half) != 0
+
+
+def _ohno_u_by_weak_compositions(r, x):
+    """ohno_u as it was first computed on keys: every index decoded, each weak composition
+    of r into its parts added to it, and each term keyed again."""
+    data = {}
+    for k, c in as_combination(x)._terms.items():
+        nu = _index(k)
+        picks = itertools.combinations_with_replacement(range(len(nu)), r)
+        _accumulate(data, ((_key(map(add, nu, map(p.count, range(len(nu))))), c) for p in picks))
+    return Combination._of(data)
+
+
+def test_key_shift_matches_the_weak_compositions():
+    half = Combination([((2, 1), Fraction(1, 2)), ((1, 2), -3), (PHI, Fraction(-5, 3))])
+    cancelling = term(1, 2) - term(2, 1) + term(3) - term(1, 1, 1)
+    for r in range(7):
+        for w in range(10):
+            for mu in all_indices(w):
+                assert ohno_u(r, mu) == _ohno_u_by_weak_compositions(r, mu), (r, mu)
+        for x in (half, cancelling, Combination.zero()):
+            assert ohno_u(r, x) == _ohno_u_by_weak_compositions(r, x), (r, x)
 
 
 def test_bar_refined_label_is_dual_conjugate():

@@ -8,6 +8,7 @@ from mzv.indices import (
     PHI,
     Combination,
     MultiIndex,
+    _key,
     all_indices,
     as_combination,
     coarsen,
@@ -114,6 +115,16 @@ def test_recursion_agrees_with_matrix_enumeration():
                     assert stuffle(mu, nu) == _tuple_stuffle(mu, nu) == expected, (mu, nu)
     for mu, nu in _pairs(7):
         assert stuffle_bar(mu, nu) == stuffle_bar_via_matrices(mu, nu)
+
+
+def test_merged_key_recursion_matches_the_matrix_sum_on_every_key_pair():
+    # _stuffle itself, on every key pair k <= l of total weight <= 11, phi included
+    for w in range(12):
+        for a in range(w // 2 + 1):
+            for mu in all_indices(a):
+                for nu in all_indices(w - a):
+                    k, l = sorted((_key(mu), _key(nu)))
+                    assert products._stuffle(k, l) == stuffle_via_matrices(mu, nu)._terms, (mu, nu)
 
 
 def _tuple_matrix_sum(mu, nu, merged):

@@ -128,11 +128,11 @@ def _certified_kernel(k: int, queries=()) -> tuple[int, tuple[dict, dict, int]]:
     bound it below, ``psi2(k)`` kernel vectors above, so these span the rows' annihilator; and
     that kernel ``(vec, bound, width)``, its slots wide enough for the integer ``queries``."""
     rows, lyndon = _triangular(k)
-    pairs = [(_key(mu), _key(nu)) for mu, nu in _pairs(k)]
+    pairs = list(_pairs(k))
     checked = [row._terms for row in stuffle_rows(k)]  # the rows of pairs, in order
     ranked = set(map(frozenset, pairs))
     for w, (pair, _) in rows.items():
-        if frozenset(pair) not in ranked:
+        if frozenset(map(_index, pair)) not in ranked:
             raise ArithmeticError("the stuffle row of the Lyndon factors of %s is not among"
                                   " the rows ranked" % (_index(w),))
     vec, bound, width = _kernel(rows, lyndon, checked + list(queries))
@@ -146,8 +146,7 @@ def _certified_kernel(k: int, queries=()) -> tuple[int, tuple[dict, dict, int]]:
     for (a, b), row in zip(pairs, checked, strict=True):
         if sum(abs(c) << bound[t] for t, c in row.items()) >> width - 2 or sum(
                 c * vec[t] for t, c in row.items()):
-            raise ArithmeticError("the kernel does not annihilate stuffle(%s, %s)"
-                                  % (_index(a), _index(b)))
+            raise ArithmeticError("the kernel does not annihilate stuffle(%s, %s)" % (a, b))
     return len(rows), (vec, bound, width)
 
 

@@ -5,43 +5,35 @@ For a label ``mu`` with ``p`` parts and an argument ``nu`` with ``q`` parts,
 positions in increasing order, the index obtained by adding ``mu_1, .., mu_p``
 to the chosen parts.  The empty label acts as the identity, any non-empty
 label annihilates phi, and everything is extended bilinearly.  Composing two
-of these operators multiplies their labels harmonically.
+of these operators multiplies their labels harmonically.  On mark keys the
+last part of ``nu`` takes the label's last part or nothing, recursively.
 
 ``ohno_bar_apply`` is the same operator conjugated by ``dual``.  The label
 ``refine((r,))``, every composition of ``r``, adds each weak composition of
 ``r`` into ``len(nu)`` parts to ``nu`` once (:func:`ohno_u`).  On mark keys it
 recurses on the last part, which takes ``e`` of ``r`` while the head is shifted
 by ``r - e``: every term is a distinct key of multiplicity 1, and a bounded
-cache, emptied by ``relations.ohno_relations``, holds the shifts.  For this
-label both operators admit closed block-splitting formulas -- sums over
-decompositions of the argument into consecutive blocks -- which are
-implemented separately (`ohno_ones_blocks`, `ohno_u_blocks`, and the
-weight-split sums `ohno_bar_u_blocks`/`shifted_block_sum`, which differ only
-in the allowed cut positions) and used to cross-check the generic path.
+cache, emptied by ``relations.ohno_relations``, holds the shifts.  For the
+labels ``ones(r)`` and ``refine((r,))`` both operators admit closed
+block-splitting formulas -- sums over the cuts of the argument into
+consecutive blocks, each a set of positions where one unit of weight goes into
+the mark key -- which cross-check the generic path.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
+from itertools import combinations, combinations_with_replacement as multisets, repeat
 
 from .indices import (
-    PHI,
     Combination,
-    MultiIndex,
     _accumulate,
     _bilinear,
-    _index,
     _key,
     as_combination,
     as_index,
-    concat,
     dual,
-    idx,
-    merge_concat,
     ones,
-    partition,
-    raise_last,
     refine,
     refine_inv,
 )
@@ -50,15 +42,14 @@ from .products import stuffle
 
 @lru_cache(maxsize=1 << 12)
 def _ohno_pair(label: int, key: int) -> dict:
-    """The shift of the index with mark key ``key`` by the label with key ``label``."""
-    parts, nu = _index(label), _index(key)
-    out = {}
-    for positions in itertools.combinations(range(len(nu)), len(parts)):
-        shifted = list(nu)
-        for part, pos in zip(parts, positions):
-            shifted[pos] += part
-        k = _key(shifted)
-        out[k] = out.get(k, 0) + 1
+    """The shift of the index with mark key ``key`` by the label with key ``label``: the
+    last part takes the label's last part, or nothing, and the head takes the rest."""
+    if not label or not key:
+        return {} if label else {key: 1}
+    head, top = key ^ 1 << key.bit_length() - 1, 1 << label.bit_length() + key.bit_length() - 1
+    # the two branches' heads differ in weight, so no key comes from both
+    out = {k | top: c for k, c in _ohno_pair(label ^ 1 << label.bit_length() - 1, head).items()}
+    out.update((k | top, c) for k, c in _ohno_pair(label, head).items())
     return out
 
 
@@ -88,7 +79,7 @@ def ohno_u(r: int, x) -> Combination:
         raise ValueError("the shift amount must be >= 0")
     data = {}
     for k, c in as_combination(x)._terms.items():
-        _accumulate(data, zip(_shifts(k, r), itertools.repeat(c)))
+        _accumulate(data, zip(_shifts(k, r), repeat(c)))
     return Combination._of(data)
 
 
@@ -100,11 +91,35 @@ def ohno_bar_u(r: int, x) -> Combination:
 # ---------------------------------------------------------------------------
 # block-splitting formulas
 #
-# Splitting an index into r+1 consecutive blocks comes in two flavours.
-# List splits cut only between parts; they realise plain concatenation.
-# Weight splits may also cut inside a part (the two halves are then fused by
-# merge_concat when reassembling); a block may be empty.  Each formula below
-# prescribes which blocks may be empty and how the blocks are reassembled.
+# r cuts of the weight, repeats allowed, split an index into r+1 blocks: a cut
+# at a mark falls between two parts, any other cut divides a part.  Each formula
+# glues the blocks back with one unit of weight at each cut, which goes into the
+# key after the cut's position c.  Where the unit ends a part, the mark at c
+# moves onto it, raising the last part of the block before the cut (phi becomes
+# (1)); otherwise the unit fuses into the first part of the block after it.
+
+
+def _split_sum(r: int, mu, cuts, ends: bool) -> Combination:
+    """Sum over the cut sets ``cuts(key)`` of ``mu``'s mark key of the key with one unit of
+    weight inserted after every cut; with ``ends`` the unit ends a part.  The cuts go in right
+    to left, since a unit moves only the marks above its cut."""
+    if r < 0:
+        raise ValueError("the shift amount must be >= 0")
+    key = _key(as_index(mu))
+    if not key:
+        return Combination._of({} if r else {0: 1})
+    out = {}
+    for cut in cuts(key):
+        k = key
+        for c in reversed(cut):
+            k = k & (1 << c) - 1 >> ends | ends << c | k >> c << c + 1
+        out[k] = out.get(k, 0) + 1
+    return Combination._of(out)
+
+
+def _inner(key: int, marked: bool) -> list[int]:
+    """The weight positions strictly inside ``key``'s weight that are marks, or are not."""
+    return [c for c in range(1, key.bit_length()) if (key >> c - 1 & 1) == marked]
 
 
 def ohno_ones_blocks(r: int, mu) -> Combination:
@@ -112,10 +127,9 @@ def ohno_ones_blocks(r: int, mu) -> Combination:
 
     Cut the part list into blocks ``b0 # b1 # .. # br`` with ``b0..b(r-1)``
     non-empty; each term glues ``b0, (1)#b1, .., (1)#br`` by merge_concat.
+    The cuts are ``r`` distinct marks, the top one included.
     """
-    return _list_split_sum(
-        r, mu, lambda q: itertools.combinations(range(1, q + 1), r),
-        lambda blocks: [blocks[0]] + [concat(idx(1), block) for block in blocks[1:]])
+    return _split_sum(r, mu, lambda k: combinations(_inner(k, True) + [k.bit_length()], r), True)
 
 
 def ohno_u_blocks(r: int, mu) -> Combination:
@@ -123,65 +137,19 @@ def ohno_u_blocks(r: int, mu) -> Combination:
 
     Cut the part list into blocks, the first ``r`` possibly empty and the
     last non-empty; each term glues ``b0#(1), .., b(r-1)#(1), br`` by
-    merge_concat.
+    merge_concat.  The cuts are ``r`` of 0 and the marks below the top, with repeats.
     """
-    return _list_split_sum(
-        r, mu, lambda q: itertools.combinations_with_replacement(range(q), r),
-        lambda blocks: [concat(block, idx(1)) for block in blocks[:-1]] + [blocks[-1]])
-
-
-def _list_split_sum(r: int, mu, splits, pieces):
-    """Sum over the cuts ``splits(len(mu))`` of ``mu`` into r+1 blocks of
-    ``pieces(blocks)`` glued by merge_concat."""
-    mu = as_index(mu)
-    if r < 0:
-        raise ValueError("the shift amount must be >= 0")
-    if not mu:
-        return Combination.zero() if r else Combination.term(PHI)
-    q = len(mu)
-    out = Combination.zero()
-    for cuts in splits(q):
-        bounds = (0,) + cuts + (q,)
-        term = Combination.term(PHI)
-        for piece in pieces([MultiIndex(mu[a:b]) for a, b in zip(bounds, bounds[1:])]):
-            term = merge_concat(term, piece)
-        out = out + term
-    return out
-
-
-def _nonboundary_cut_positions(mu: MultiIndex) -> list[int]:
-    """0 and the weight positions strictly inside a part of ``mu``."""
-    key = _key(mu)
-    return [0] + [c for c in range(1, mu.weight) if not key >> (c - 1) & 1]
-
-
-def _weight_split_sum(r: int, mu, cut_positions) -> Combination:
-    """Sum over ``r`` weight cuts of ``mu``, taken with repeats from
-    ``cut_positions(mu)``, of the blocks joined by plain concatenation after
-    raising the last part of every block but the final one."""
-    mu = as_index(mu)
-    if r < 0:
-        raise ValueError("the shift amount must be >= 0")
-    if not mu:
-        return Combination.zero() if r else Combination.term(PHI)
-
-    def term(cuts) -> MultiIndex:
-        bounds = (0,) + cuts + (mu.weight,)
-        *blocks, last = partition(mu, [b - a for a, b in zip(bounds, bounds[1:])])
-        return MultiIndex(sum(map(raise_last, blocks), ()) + last)
-
-    cuts = itertools.combinations_with_replacement(cut_positions(mu), r)
-    return Combination((term(c), 1) for c in cuts)
+    return _split_sum(r, mu, lambda k: multisets([0] + _inner(k, True), r), False)
 
 
 def ohno_bar_u_blocks(r: int, mu) -> Combination:
     """Dual-side block formula for the label ``refine((r,))``.
 
-    Cut the weight at positions away from the part boundaries (repeats give
-    empty blocks), keep the final block non-empty, raise the last part of
-    every other block, and concatenate.
+    Cut the weight at 0 or inside a part (repeats give empty blocks), keep the
+    final block non-empty, raise the last part of every other block, and
+    concatenate.
     """
-    return _weight_split_sum(r, mu, _nonboundary_cut_positions)
+    return _split_sum(r, mu, lambda k: multisets([0] + _inner(k, False), r), True)
 
 
 def shifted_block_sum(r: int, mu) -> Combination:
@@ -190,8 +158,11 @@ def shifted_block_sum(r: int, mu) -> Combination:
     Like :func:`ohno_bar_u_blocks` but the weight may be cut anywhere
     (including part boundaries and the very end, so the final block may be
     empty too).
+
+    >>> shifted_block_sum(1, (2, 1))
+    (1,2,1) + (2,1,1) + (2,2) + (3,1)
     """
-    return _weight_split_sum(r, mu, lambda mu: range(mu.weight + 1))
+    return _split_sum(r, mu, lambda k: multisets(range(k.bit_length() + 1), r), True)
 
 
 def conjugated_ones_multiplier(r: int, x) -> Combination:

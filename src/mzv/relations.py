@@ -37,7 +37,6 @@ from .indices import (
     format_index,
     ones,
     refine,
-    reverse,
     signed,
 )
 from .ohno import _shifts, ohno_u
@@ -137,12 +136,18 @@ def stuffle_rows(weight: int) -> list[Combination]:
     return [Combination._of(_stuffle_keys(_key(mu), _key(nu))) for mu, nu in _pairs(weight)]
 
 
+def _reverse_dual(k: int) -> tuple[int, int]:
+    """The keys of ``reverse`` and ``dual`` of the non-empty index with key ``k``."""
+    top = 1 << k.bit_length() - 1  # reverse mirrors the marks below it, dual complements them
+    return top | _mirror(k ^ top, k.bit_length() - 1), k ^ top - 1
+
+
 def duality_element(mu) -> Combination:
     """``reverse(mu) - dual(mu)``."""
     mu = as_index(mu)
     if not mu:
         raise ValueError("the index must be non-empty")
-    return Combination.term(reverse(mu)) - Combination.term(dual(mu))
+    return Combination._of(_accumulate({}, zip(_reverse_dual(_key(mu)), (1, -1))))
 
 
 def duality_relation(mu) -> LinearRelation:
@@ -185,8 +190,7 @@ def ohno_relations(weight: int, r_max: int | None = None) -> list[LinearRelation
     for r in range(0, min(r_max, weight - 2) + 1):
         top = 1 << weight - r - 1
         for mu in all_indices(weight - r):
-            k = _key(mu)  # reverse mirrors the marks below the top bit, dual complements them
-            rev, dual_key = top | _mirror(k ^ top, weight - r - 1), k ^ top - 1
+            rev, dual_key = _reverse_dual(k := _key(mu))
             if rev ^ top - 1 < k or rev == dual_key:  # tau(mu) first, or D(mu) = 0
                 continue
             # ohno_u(r, nu)'s smallest term by parts gives nu back, so this is not 0

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -514,6 +515,27 @@ def test_rank_table_k_max_10_prints_the_acceptance_table_under_python_O():
         "  8      123       98       98         98  exact\n"
         "  9      249      200      200        199  exact\n"
         " 10      503      413      413        411  modular-lower-bound\n")
+
+
+# the benchmark's verify commands, each with the function of benchmarks/expected.py that
+# writes its output and that function's argument
+BENCHMARK_VERIFY = {
+    "duality": (["--weight", "7"], 7),
+    "ohno": (["--weight", "8"], 8),
+    "numeric": (["--pairs-up-to", "5", "--truncation", "1000000"], 5),
+    "identities": (["--weight", "8"], 8),
+    "theorem310": (["--weight", "6"], 6),
+}
+
+
+@pytest.mark.parametrize("suite", BENCHMARK_VERIFY)
+def test_benchmark_verify_commands_print_their_expected_output_under_python_O(suite):
+    # in a fresh process, byte for byte against the benchmark's own expected output
+    argv, n = BENCHMARK_VERIFY[suite]
+    expected = runpy.run_path(str(Path(cli.__file__).resolve().parents[2] / "benchmarks"
+                                  / "expected.py"))
+    proc = _run_with_timeout(["verify", suite, *argv], timeout=60, flags=["-O"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (*expected[suite](n), "")
 
 
 def test_rank_table_weight_12_headline_row():

@@ -2,25 +2,32 @@ import itertools
 from fractions import Fraction
 from operator import add
 
+import pytest
+
 from mzv.indices import (
     PHI,
     Combination,
+    MultiIndex,
     _accumulate,
     _index,
     _key,
     all_indices,
     as_combination,
+    as_index,
     concat,
     dual,
     idx,
     merge_concat,
     ones,
+    partition,
+    raise_last,
     refine,
     refine_inv,
     reverse,
     signed,
 )
 from mzv.ohno import (
+    _ohno_pair,
     conjugated_ones_multiplier,
     ohno_apply,
     ohno_bar_apply,
@@ -165,6 +172,93 @@ def test_key_shift_matches_the_weak_compositions():
                 assert ohno_u(r, mu) == _ohno_u_by_weak_compositions(r, mu), (r, mu)
         for x in (half, cancelling, Combination.zero()):
             assert ohno_u(r, x) == _ohno_u_by_weak_compositions(r, x), (r, x)
+
+
+def _ohno_pair_by_positions(label, key):
+    """_ohno_pair as it was first computed on keys: both indices decoded, the label's parts
+    added at every increasing choice of positions, and each term keyed again."""
+    parts, nu = _index(label), _index(key)
+    out = {}
+    for positions in itertools.combinations(range(len(nu)), len(parts)):
+        shifted = list(nu)
+        for part, pos in zip(parts, positions):
+            shifted[pos] += part
+        k = _key(shifted)
+        out[k] = out.get(k, 0) + 1
+    return out
+
+
+def test_key_pair_shift_matches_the_position_choices():
+    for wl in range(5):
+        for label in all_indices(wl):
+            for w in range(8):
+                for mu in all_indices(w):
+                    want = _ohno_pair_by_positions(_key(label), _key(mu))
+                    assert _ohno_pair(_key(label), _key(mu)) == want, (label, mu)
+                    assert ohno_apply(label, mu) == Combination._of(want), (label, mu)
+    x = Combination([((2, 1), Fraction(1, 2)), ((1, 2), -3), (PHI, Fraction(-5, 3))])
+    label = Combination([((1,), 2), ((1, 1), -1), (PHI, 1)])
+    want = Combination.zero()
+    for (l, c), (k, d) in itertools.product(label._terms.items(), x._terms.items()):
+        want = want + c * d * Combination._of(_ohno_pair_by_positions(l, k))
+    assert ohno_apply(label, x) == want != 0
+
+
+def _list_split_sum(r, mu, splits, pieces):
+    """The list-split block sums as first computed on tuples: the cuts ``splits(len(mu))``
+    of the part list into r+1 blocks, ``pieces(blocks)`` glued by merge_concat."""
+    mu = as_index(mu)
+    if not mu:
+        return Combination.zero() if r else Combination.term(PHI)
+    q = len(mu)
+    out = Combination.zero()
+    for cuts in splits(q):
+        bounds = (0,) + cuts + (q,)
+        term = Combination.term(PHI)
+        for piece in pieces([MultiIndex(mu[a:b]) for a, b in zip(bounds, bounds[1:])]):
+            term = merge_concat(term, piece)
+        out = out + term
+    return out
+
+
+def _weight_split_sum(r, mu, cut_positions):
+    """The weight-split block sums as first computed on tuples: ``r`` cuts, repeats allowed,
+    from ``cut_positions(mu)``, the blocks split by ``partition`` and concatenated after
+    raising the last part of every block but the final one."""
+    mu = as_index(mu)
+    if not mu:
+        return Combination.zero() if r else Combination.term(PHI)
+
+    def term(cuts):
+        bounds = (0,) + cuts + (mu.weight,)
+        *blocks, last = partition(mu, [b - a for a, b in zip(bounds, bounds[1:])])
+        return MultiIndex(sum(map(raise_last, blocks), ()) + last)
+
+    cuts = itertools.combinations_with_replacement(cut_positions(mu), r)
+    return Combination((term(c), 1) for c in cuts)
+
+
+TUPLE_BLOCKS = {
+    ohno_ones_blocks: lambda r, mu: _list_split_sum(
+        r, mu, lambda q: itertools.combinations(range(1, q + 1), r),
+        lambda blocks: [blocks[0]] + [concat(idx(1), block) for block in blocks[1:]]),
+    ohno_u_blocks: lambda r, mu: _list_split_sum(
+        r, mu, lambda q: itertools.combinations_with_replacement(range(q), r),
+        lambda blocks: [concat(block, idx(1)) for block in blocks[:-1]] + [blocks[-1]]),
+    ohno_bar_u_blocks: lambda r, mu: _weight_split_sum(
+        r, mu, lambda mu: [0] + [c for c in range(1, mu.weight) if not _key(mu) >> c - 1 & 1]),
+    shifted_block_sum: lambda r, mu: _weight_split_sum(r, mu, lambda mu: range(mu.weight + 1)),
+}
+
+
+@pytest.mark.parametrize("formula", TUPLE_BLOCKS, ids=lambda f: f.__name__)
+def test_key_block_formulas_match_the_tuple_splits(formula):
+    for w in range(9):
+        for mu in all_indices(w):
+            for r in range(5):
+                assert formula(r, mu) == TUPLE_BLOCKS[formula](r, mu), (r, mu)
+    with pytest.raises(ValueError, match="^the shift amount must be >= 0$"):
+        formula(-1, idx(2, 1))
 
 
 def test_bar_refined_label_is_dual_conjugate():

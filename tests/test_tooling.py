@@ -177,4 +177,4 @@ def test_readme_and_docstring_examples_run():
         result = doctest.testmod(importlib.import_module("mzv." + path.stem))
         assert result.failed == 0, path.name
         attempted += result.attempted
-    assert attempted == 6
+    assert attempted == 7

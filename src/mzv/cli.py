@@ -384,7 +384,7 @@ SUITES = {
 #: the last that finished within 60 s (theorem310's cost guard bounds its own).
 SUITE_WEIGHTS = {"identities": (6, 2, 12), "theorem310": (5, 1, HARD_WEIGHT_CAP),
                  "duality": (7, 2, 10), "ohno": (8, 3, 13)}
-PAIRS_UP_TO_MAX = 11
+PAIRS_UP_TO_MAX = 13
 
 
 def cmd_verify(args) -> int:

@@ -417,7 +417,9 @@ def format_combination(x) -> str:
 
 
 _INDEX_RE = re.compile(r"\(\s*\d+\s*(?:,\s*\d+\s*)*\)")
-_COEFF_RE = re.compile(r"(\d+)\s*(?:/\s*(\d+))?")
+#: One term: a sign (required after the first), an optional ``p/q`` and ``*``, an index.
+_TERM_RE = re.compile(r"\s*([+-]?)\s*(?:(\d+)\s*(?:/\s*(\d+))?\s*\*?\s*)?(phi|%s)"
+                      % _INDEX_RE.pattern)
 
 
 def parse_index(text: str) -> MultiIndex:
@@ -439,48 +441,12 @@ def parse_combination(text: str) -> Combination:
     """
     if text.strip() == "0":
         return Combination()
-    s = text
-    pos = 0
-    n = len(s)
-    out = Combination()
-    first = True
-
-    def skip_ws(p):
-        while p < n and s[p].isspace():
-            p += 1
-        return p
-
-    while True:
-        pos = skip_ws(pos)
-        if pos >= n:
-            if first:
-                raise ValueError("empty expression")
-            break
-        sign = 1
-        if s[pos] in "+-":
-            sign = -1 if s[pos] == "-" else 1
-            pos = skip_ws(pos + 1)
-        elif not first:
-            raise ValueError("expected '+' or '-' at position %d in %r" % (pos, text))
-        coeff = Fraction(sign)
-        m = _COEFF_RE.match(s, pos)
-        if m:
-            num, den = m.group(1), m.group(2)
-            if den is not None and int(den) == 0:
-                raise ValueError("zero denominator at position %d in %r" % (pos, text))
-            coeff *= Fraction(int(num), int(den) if den else 1)
-            pos = skip_ws(m.end())
-            if pos < n and s[pos] == "*":
-                pos = skip_ws(pos + 1)
-        if pos < n and s.startswith("phi", pos):
-            mu = PHI
-            pos += 3
-        else:
-            m = _INDEX_RE.match(s, pos)
-            if not m:
-                raise ValueError("expected an index at position %d in %r" % (pos, text))
-            mu = MultiIndex(int(p) for p in m.group(0)[1:-1].split(","))
-            pos = m.end()
-        out = out + Combination.term(mu, coeff)
-        first = False
-    return out
+    terms, pos, end = {}, 0, len(text.rstrip())
+    while not pos or pos < end:  # one term at least
+        m = _TERM_RE.match(text, pos)
+        if not m or pos and not m[1] or m[3] and not int(m[3]):
+            raise ValueError("expected a term like - 2/3*(1,2) at position %d in %r" % (pos, text))
+        c = Fraction(int(m[2] or 1), int(m[3] or 1))
+        _accumulate(terms, [(_key(parse_index(m[4])), _coeff(-c if m[1] == "-" else c))])
+        pos = m.end()
+    return Combination._of(terms)

@@ -13,6 +13,8 @@ the tail past ``M`` terms is bounded (:func:`_half_series`).  The evaluator
 reads the mark keys as stored, in any order: values and bounds add up
 exactly, and a relation passes when ``|value| <= bound`` on those exact
 numbers.  ``err`` is the bound plus the float rounding of ``value``, rounded up.
+Both memos hold a whole request: ``verify numeric --pairs-up-to n`` reads ``2**n - 1``
+:func:`_holder` sums and ``1.5 * 2**n`` series, and a smaller cache thrashes.
 
 A weak chain sum is the strict sum over the coarsenings of its index, so
 :func:`zeta_bar` is :func:`zeta_strict` of :func:`~mzv.indices.coarsen`.
@@ -142,7 +144,7 @@ def _truncated(x, N: int) -> tuple:
     return full, max(2.0 * abs(full - half), noise)
 
 
-@lru_cache(maxsize=1 << 12)
+@lru_cache(maxsize=1 << 14)
 def _half_series(nu: MultiIndex, bits: int) -> tuple:
     """``(v, e, M)`` with ``0 <= 2**bits * Li_nu(1/2) - v <= e``, from ``M`` terms.
 
@@ -171,7 +173,7 @@ def _half_series(nu: MultiIndex, bits: int) -> tuple:
     return v, lost, M
 
 
-@lru_cache(maxsize=1 << 10)
+@lru_cache(maxsize=1 << 14)
 def _holder(k: int, bits: int) -> tuple:
     """``(V, E, M)`` with ``|4**bits * zeta(mu) - V| <= E`` for the index ``mu`` of
     mark key ``k``: a sum over the cuts of its word."""

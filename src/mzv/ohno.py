@@ -177,9 +177,12 @@ def verify_shift_factorization(r: int, mu) -> bool:
     """Check the three faces of the shifted-multiplication identity.
 
     The conjugated multiplier, its expansion through the shift operators,
-    and the direct weight-split sum must agree.
+    and the direct weight-split sum must agree.  ``mu`` must be non-empty: the
+    shift operators send phi to 0 but the multiplier sends it to ``ones(r)``.
     """
     mu = as_index(mu)
+    if not mu:
+        raise ValueError("the index must be non-empty")
     lhs = conjugated_ones_multiplier(r, mu)
     middle = Combination.zero()
     for k in range(r + 1):
@@ -192,9 +195,11 @@ def verify_alternating_shift_sum(r: int, mu) -> bool:
     """Check the alternating resummation of the conjugated multipliers.
 
     ``sum((-1)**k * conjugated_ones_multiplier(r-k, ohno_u(k, mu)))`` must
-    equal ``ohno_bar_u(r, mu)``.
+    equal ``ohno_bar_u(r, mu)``.  ``mu`` must be non-empty, as above.
     """
     mu = as_index(mu)
+    if not mu:
+        raise ValueError("the index must be non-empty")
     total = Combination.zero()
     for k in range(r + 1):
         total = total + (-1) ** k * conjugated_ones_multiplier(r - k, ohno_u(k, mu))

@@ -382,7 +382,7 @@ def test_theorem310_defaults_still_run(capsys):
     (["identities", "--weight", "13"], "--weight must be <= 12 for the identities suite"),
     (["duality", "--weight", "11"], "--weight must be <= 10 for the duality suite"),
     (["ohno", "--weight", "14"], "--weight must be <= 13 for the ohno suite"),
-    (["numeric", "--pairs-up-to", "12"], "--pairs-up-to must be <= 11 for the numeric suite"),
+    (["numeric", "--pairs-up-to", "14"], "--pairs-up-to must be <= 13 for the numeric suite"),
 ])
 def test_verify_refuses_a_weight_above_its_suite_limit_up_front(argv, message, capsys,
                                                                 monkeypatch):
@@ -398,7 +398,7 @@ def test_verify_refuses_a_weight_above_its_suite_limit_up_front(argv, message, c
     ["identities", "--weight", "12"],
     ["duality", "--weight", "10"],
     ["ohno", "--weight", "13"],
-    ["numeric", "--pairs-up-to", "11"],
+    ["numeric", "--pairs-up-to", "13"],
     ["theorem310", "--weight", "13", "--grid", "0"],
 ])
 def test_verify_admits_each_suite_limit(argv, capsys, monkeypatch):

@@ -1,5 +1,8 @@
 import itertools
+import json
+import pathlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -268,6 +271,118 @@ def test_parse_format_roundtrip_is_canonical():
     # the zero combination prints as 0 and reads back
     assert parse_combination(format_combination(Combination.zero())) == Combination.zero()
     assert parse_combination(" 0\n") == Combination.zero()
+
+
+# -- the term-by-term parser that the one-pass parser replaced, as an oracle --
+
+_ORACLE_COEFF_RE = re.compile(r"(\d+)\s*(?:/\s*(\d+))?")
+_ORACLE_INDEX_RE = re.compile(r"\(\s*\d+\s*(?:,\s*\d+\s*)*\)")
+
+
+def _oracle_parse_combination(text):
+    if text.strip() == "0":
+        return Combination()
+    s = text
+    pos = 0
+    n = len(s)
+    out = Combination()
+    first = True
+
+    def skip_ws(p):
+        while p < n and s[p].isspace():
+            p += 1
+        return p
+
+    while True:
+        pos = skip_ws(pos)
+        if pos >= n:
+            if first:
+                raise ValueError("empty expression")
+            break
+        sign = 1
+        if s[pos] in "+-":
+            sign = -1 if s[pos] == "-" else 1
+            pos = skip_ws(pos + 1)
+        elif not first:
+            raise ValueError("expected '+' or '-' at position %d in %r" % (pos, text))
+        coeff = Fraction(sign)
+        m = _ORACLE_COEFF_RE.match(s, pos)
+        if m:
+            num, den = m.group(1), m.group(2)
+            if den is not None and int(den) == 0:
+                raise ValueError("zero denominator at position %d in %r" % (pos, text))
+            coeff *= Fraction(int(num), int(den) if den else 1)
+            pos = skip_ws(m.end())
+            if pos < n and s[pos] == "*":
+                pos = skip_ws(pos + 1)
+        if pos < n and s.startswith("phi", pos):
+            mu = PHI
+            pos += 3
+        else:
+            m = _ORACLE_INDEX_RE.match(s, pos)
+            if not m:
+                raise ValueError("expected an index at position %d in %r" % (pos, text))
+            mu = MultiIndex(int(p) for p in m.group(0)[1:-1].split(","))
+            pos = m.end()
+        out = out + Combination.term(mu, coeff)
+        first = False
+    return out
+
+
+def _stored(x):
+    # the stored terms with their coefficients' types: 1 and Fraction(1) must not merge
+    return {k: (type(c), c) for k, c in x._terms.items()}
+
+
+def _golden_expressions():
+    cases = json.loads((pathlib.Path(__file__).parent / "golden" / "cli.json").read_text())
+    spans = {"apply": slice(2, 3), "product": slice(2, 4)}
+    return sorted({e for c in cases for e in c["argv"][spans.get(c["argv"][0], slice(0))]})
+
+
+def _parser_corpus():
+    exprs = _golden_expressions()
+    coeffs = (Fraction(-7, 3), 5, Fraction(1, 2))
+    for w in range(7):
+        for mu in all_indices(w):
+            exprs += [format_combination(Combination.term(mu, c)) for c in coeffs]
+        # and every index of the weight in one expression, the coefficients in turn
+        exprs.append(format_combination(Combination(zip(all_indices(w), itertools.cycle(coeffs)))))
+    return exprs + ["0", " 0\n", "(1)-(1)", "0*(2)", "3phi", "2(1,1)", "1/3 * phi",
+                    "1/2*(1) + 1/2*(1)", "- 3 / 4 * ( 1 , 2 )\t+2 phi", "-0*(1) + (1)"]
+
+
+def test_one_pass_parser_stores_the_terms_of_the_term_by_term_parser():
+    corpus = _parser_corpus()
+    assert len(_golden_expressions()) >= 4
+    for text in corpus:
+        assert _stored(parse_combination(text)) == _stored(_oracle_parse_combination(text)), text
+    # a sum that reaches an integer keeps it as a Fraction, as adding terms did
+    assert _stored(parse_combination("1/2*(1) + 1/2*(1)")) == {1: (Fraction, 1)}
+
+
+@pytest.mark.parametrize("bad", ["", "  ", "+", "(1) (2)", "(1,2", "(0)", "1/0*(2)", "x+(2)",
+                                 "(1) +", "2/3", "phix"])
+def test_one_pass_parser_rejects_what_the_term_by_term_parser_rejects(bad):
+    with pytest.raises(ValueError):
+        _oracle_parse_combination(bad)
+    with pytest.raises(ValueError):
+        parse_combination(bad)
+
+
+def test_parse_combination_builds_no_intermediate_combination(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("a combination was added while parsing")
+
+    monkeypatch.setattr(Combination, "__add__", refuse)
+    x = parse_combination("3/2*(1,2) - (2,1) + phi")
+    assert x._terms == {_key((1, 2)): Fraction(3, 2), _key((2, 1)): -1, 0: 1}
+
+
+def test_parse_combination_reads_back_a_long_combination():
+    x = refine((16,))
+    assert len(x) == 1 << 15
+    assert parse_combination(format_combination(x)) == x
 
 
 # -- the frozenset operators that the mark masks replaced, as oracles --------

@@ -346,6 +346,14 @@ def test_conjugated_multiplier_expands_into_operator_chain():
                 assert verify_shift_factorization(r, mu)
 
 
+@pytest.mark.parametrize("check", [verify_shift_factorization, verify_alternating_shift_sum])
+def test_shift_identity_checks_refuse_phi(check):
+    # the shift operators send phi to 0 but the conjugated multiplier to ones(r)
+    for r in range(4):
+        with pytest.raises(ValueError, match="non-empty"):
+            check(r, PHI)
+
+
 def test_operator_chain_three_way_identity_explicit():
     # the same element three ways: conjugated multiplication, the
     # operator sum, and the raised block sum

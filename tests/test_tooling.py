@@ -107,6 +107,15 @@ def test_package_caches_are_bounded():
     assert sorted(unbounded) == ["products._stuffle", "products._stuffle_bar"]
 
 
+def test_evaluator_caches_hold_the_largest_numeric_request():
+    # verify numeric --pairs-up-to n reads 2**n - 1 Hölder sums and 1.5 * 2**n
+    # half-series; a cache smaller than its working set evicts and thrashes
+    from mzv import cli, numeric
+
+    for cache in (numeric._holder, numeric._half_series):
+        assert cache.cache_info().maxsize >= 2 ** (cli.PAIRS_UP_TO_MAX + 1), cache.__name__
+
+
 def test_every_command_runs_without_numpy():
     # numpy is a test dependency only: with its import blocked, the package
     # imports, a certified zeta_bar evaluates and every command runs, both rank
